@@ -870,7 +870,7 @@ let bench_json out_path =
            ])
     in
     let field name reply =
-      match Serve.Protocol.string_field name reply with
+      match Spec.Json.string_field name reply with
       | Ok v -> v
       | Error _ -> failwith ("bench: serve reply missing " ^ name)
     in

@@ -1,33 +1,41 @@
 (** [mrefine] — command-line driver for the model-refinement flow:
     parse a specification, derive its access graph, partition it, refine
     it to one of the four implementation models, simulate, and check
-    functional equivalence. *)
+    functional equivalence.  The served commands (refine, lint, explore,
+    faults, litmus) only translate flags into {!Command} requests here;
+    [mrefine serve] runs the same requests decoded from JSON. *)
 
 open Cmdliner
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load_spec_located path =
-  match Spec.Parser.program_of_string_located (read_file path) with
-  | Ok (p, locs) ->
-    begin match Spec.Program.validate p with
-    | Ok () -> Ok (p, locs)
-    | Error msgs -> Error ("invalid specification: " ^ String.concat "; " msgs)
-    end
-  | Error msg -> Error msg
-
-let load_spec path = Result.map fst (load_spec_located path)
 
 let or_die = function
   | Ok v -> v
   | Error msg ->
     prerr_endline ("mrefine: " ^ msg);
     exit 1
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> or_die (Error msg)
+
+let load_spec path = or_die (Command.spec_of_source (read_file path))
+
+let write_out output text =
+  match output with
+  | None -> print_string text
+  | Some path ->
+    (try Out_channel.with_open_bin path (fun oc -> output_string oc text)
+     with Sys_error msg -> or_die (Error msg));
+    Printf.printf "wrote %s\n" path
+
+(* The environment of a command run from the shell: never cancelled,
+   notes go to stderr. *)
+let cli_env = { Command.env with e_note = Some prerr_endline }
+
+(* Print a command's report; a failing verdict exits 1. *)
+let finish output result =
+  let o = or_die result in
+  write_out output o.Command.o_output;
+  if o.Command.o_failed then exit 1
 
 (* --- common arguments -------------------------------------------------- *)
 
@@ -37,100 +45,101 @@ let spec_arg =
     & pos 0 (some file) None
     & info [] ~docv:"SPEC" ~doc:"Specification file (textual SpecCharts-like syntax).")
 
-let model_conv =
-  let parse s =
-    match Core.Model.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown model %S (use 1-4)" s))
-  in
-  let print ppf m = Format.pp_print_string ppf (Core.Model.name m) in
-  Arg.conv (parse, print)
+(* A converter from one of the shared decoders. *)
+let of_decoder of_string name =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (of_string s)),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
 
-let memord_conv =
-  let parse s =
-    Result.map_error (fun msg -> `Msg msg) (Sim.Memord.policy_of_string s)
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Sim.Memord.policy_to_string p)
-  in
-  Arg.conv (parse, print)
+let model_conv = of_decoder Command.model_of_string Core.Model.name
+let memord_conv = of_decoder Sim.Memord.policy_of_string Sim.Memord.policy_to_string
 
-let backend_conv =
-  let parse s =
-    Result.map_error (fun msg -> `Msg msg) (Sim.Runtime.backend_of_string s)
-  in
-  let print ppf b =
-    Format.pp_print_string ppf (Sim.Runtime.backend_to_string b)
-  in
-  Arg.conv (parse, print)
-
-(* Sets the process-wide simulation backend before the command body
-   runs, so every simulation the invocation performs — cosim gates,
-   fault campaigns, litmus runs — honors one switch. *)
 let backend_arg =
-  let set b =
-    Sim.Runtime.set_default_backend b;
-    b
-  in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt backend_conv `Bytecode
-        & info [ "backend" ] ~docv:"BACKEND"
-            ~doc:
-              "Simulation leaf machine: $(b,vm) (the bytecode register \
-               VM, the default) or $(b,tree) (the retained tree-walking \
-               interpreter).  Observables are bit-identical; the tree \
-               backend exists as the differential oracle."))
+  Arg.(
+    value
+    & opt
+        (of_decoder Sim.Runtime.backend_of_string Sim.Runtime.backend_to_string)
+        `Bytecode
+    & info [ "backend" ] ~docv:"BACKEND"
+        ~doc:
+          "Simulation leaf machine: $(b,vm) (the bytecode register VM, the \
+           default) or $(b,tree) (the retained tree-walking interpreter).  \
+           Observables are bit-identical; the tree backend exists as the \
+           differential oracle.")
 
 let model_arg =
   Arg.(
     value
-    & opt model_conv Core.Model.Model2
+    & opt model_conv Command.default_design.ds_model
     & info [ "m"; "model" ] ~docv:"MODEL"
         ~doc:"Implementation model: model1..model4 (or 1..4).")
 
 let parts_arg =
   Arg.(
     value
-    & opt int 2
+    & opt int Command.default_partitioning.pt_parts
     & info [ "p"; "parts" ] ~docv:"N" ~doc:"Number of partitions (components).")
 
-let seed_arg =
-  Arg.(
-    value
-    & opt int 42
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for randomized algorithms.")
+let partitioning_arg =
+  let make pt_parts pt_algo pt_seed pt_assign =
+    { Command.pt_parts; pt_algo; pt_seed; pt_assign }
+  in
+  let algo =
+    Arg.(
+      value
+      & opt
+          (of_decoder Command.algo_of_string Command.algo_name)
+          Command.default_partitioning.pt_algo
+      & info [ "a"; "algo" ] ~docv:"ALGO"
+          ~doc:"Automatic partitioner: greedy, kl, annealing or clustering.")
+  in
+  let seed =
+    Arg.(
+      value
+      & opt int Command.default_partitioning.pt_seed
+      & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for randomized algorithms.")
+  in
+  let assign =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "assign" ] ~docv:"ASSIGN"
+          ~doc:
+            "Manual partition, e.g. \"A=0,B=1,x=1\"; every behavior object \
+             and variable must be assigned.  Overrides $(b,--algo).")
+  in
+  Term.(const make $ parts_arg $ algo $ seed $ assign)
 
-let algo_arg =
-  Arg.(
-    value
-    & opt (enum
-             [ ("greedy", `Greedy); ("kl", `Kl); ("annealing", `Annealing);
-               ("clustering", `Clustering) ])
-        `Greedy
-    & info [ "a"; "algo" ] ~docv:"ALGO"
-        ~doc:"Automatic partitioner: greedy, kl, annealing or clustering.")
+(* Model and partition, default generator options: what [export
+   --refine] and [quality] refine with. *)
+let plain_design_arg =
+  let make ds_model ds_partitioning =
+    { Command.default_design with ds_model; ds_partitioning }
+  in
+  Term.(const make $ model_arg $ partitioning_arg)
 
-let assign_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "assign" ] ~docv:"ASSIGN"
-        ~doc:
-          "Manual partition, e.g. \"A=0,B=1,x=1\"; every behavior object and \
-           variable must be assigned.  Overrides $(b,--algo).")
-
-let protocol_arg =
-  Arg.(
-    value
-    & opt (enum
-             [ ("four-phase", Core.Protocol.Four_phase);
-               ("two-phase", Core.Protocol.Two_phase) ])
-        Core.Protocol.Four_phase
-    & info [ "protocol" ] ~docv:"PROTO"
-        ~doc:"Bus handshake: four-phase (paper Figure 5d) or two-phase.")
+let design_arg =
+  let make d ds_protocol ds_harden = { d with Command.ds_protocol; ds_harden } in
+  let protocol =
+    Arg.(
+      value
+      & opt
+          (of_decoder Command.protocol_of_string Core.Protocol.style_name)
+          Command.default_design.ds_protocol
+      & info [ "protocol" ] ~docv:"PROTO"
+          ~doc:"Bus handshake: four-phase (paper Figure 5d) or two-phase.")
+  in
+  let harden =
+    Arg.(
+      value & flag
+      & info [ "harden" ]
+          ~doc:
+            "Generate the hardened protocol variant: watchdog timeouts with \
+             bounded exponential-backoff retries on every handshake, \
+             idempotent slave re-decode and triplicated memory storage with \
+             majority voting.")
+  in
+  Term.(const make $ plain_design_arg $ protocol $ harden)
 
 let output_arg =
   Arg.(
@@ -138,72 +147,46 @@ let output_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write output to FILE.")
 
-let harden_arg =
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
+
+let deadline_arg doc =
   Arg.(
-    value & flag
-    & info [ "harden" ]
-        ~doc:
-          "Generate the hardened protocol variant: watchdog timeouts with \
-           bounded exponential-backoff retries on every handshake, \
-           idempotent slave re-decode and triplicated memory storage with \
-           majority voting.")
+    value
+    & opt (some float) None
+    & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
-(* --- partition construction -------------------------------------------- *)
+let resume_arg doc =
+  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"JOURNAL" ~doc)
 
-let partition_of_assign g n_parts assign =
-  let entries = String.split_on_char ',' assign in
-  let parse_entry e =
-    match String.split_on_char '=' (String.trim e) with
-    | [ name; idx ] ->
-      let name = String.trim name in
-      let idx = int_of_string (String.trim idx) in
-      let obj =
-        if List.mem name g.Agraph.Access_graph.g_objects then
-          Partitioning.Partition.Obj_behavior name
-        else if List.mem name g.Agraph.Access_graph.g_variables then
-          Partitioning.Partition.Obj_variable name
-        else failwith (Printf.sprintf "unknown object %s" name)
-      in
-      (obj, idx)
-    | _ -> failwith (Printf.sprintf "bad assignment entry %S" e)
-  in
-  match List.map parse_entry entries with
-  | assocs ->
-    let part = Partitioning.Partition.make ~n_parts assocs in
-    begin match Partitioning.Partition.complete_for g part with
-    | Ok () -> Ok part
-    | Error msgs -> Error (String.concat "; " msgs)
-    end
-  | exception Failure msg -> Error msg
+(* The shared secret: [--token], or the trimmed contents of
+   [--token-file]. *)
+let resolve_token token token_file =
+  match (token, token_file) with
+  | Some _, Some _ -> or_die (Error "give only one of --token and --token-file")
+  | Some t, None -> Some t
+  | None, Some path -> Some (String.trim (read_file path))
+  | None, None -> None
 
-let make_partition g ~n_parts ~algo ~seed ~assign =
-  match assign with
-  | Some a -> partition_of_assign g n_parts a
-  | None ->
-    Ok
-      (match algo with
-      | `Greedy -> Partitioning.Greedy.run g ~n_parts
-      | `Kl -> Partitioning.Kl.run_from_scratch g ~n_parts
-      | `Annealing ->
-        Partitioning.Annealing.run
-          ~config:{ Partitioning.Annealing.default_config with seed }
-          g ~n_parts
-      | `Clustering -> Partitioning.Clustering.run g ~n_parts)
+let tcp_endpoint ~flag s =
+  match Serve.Server.endpoint_of_string s with
+  | Ok (Serve.Server.Tcp _ as e) -> e
+  | Ok (Serve.Server.Unix_path _) ->
+    or_die (Error (flag ^ " wants HOST:PORT (Unix sockets go via --socket)"))
+  | Error msg -> or_die (Error msg)
 
-let write_out output text =
-  match output with
-  | None -> print_string text
-  | Some path ->
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "wrote %s\n" path
+let cannot_listen where err msg =
+  or_die
+    (Error
+       (Printf.sprintf "cannot listen on %s: %s%s" where
+          (Unix.error_message err)
+          (if msg = "" then "" else " (" ^ msg ^ ")")))
 
 (* --- subcommands -------------------------------------------------------- *)
 
 let parse_cmd =
   let run spec_path =
-    let p = or_die (load_spec spec_path) in
+    let p = (load_spec spec_path).Command.sp_program in
     let m = Core.Metrics.of_program p in
     Format.printf "%s: %a@." p.Spec.Ast.p_name Core.Metrics.pp m
   in
@@ -212,8 +195,7 @@ let parse_cmd =
 
 let graph_cmd =
   let run spec_path dot output =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
+    let g = Lazy.force (load_spec spec_path).Command.sp_graph in
     if dot then write_out output (Agraph.Access_graph.to_dot g)
     else begin
       Printf.printf "objects: %s\n"
@@ -243,10 +225,9 @@ let graph_cmd =
     Term.(const run $ spec_arg $ dot $ output_arg)
 
 let partition_cmd =
-  let run spec_path n_parts algo seed assign =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
+  let run spec_path pt =
+    let g = Lazy.force (load_spec spec_path).Command.sp_graph in
+    let part = or_die (Command.partition g pt) in
     Format.printf "%a@." Partitioning.Partition.pp part;
     let r = Partitioning.Classify.report g part in
     Printf.printf "local variables: %s\nglobal variables: %s\n"
@@ -257,65 +238,27 @@ let partition_cmd =
   in
   Cmd.v
     (Cmd.info "partition" ~doc:"Partition a specification and classify variables.")
-    Term.(const run $ spec_arg $ parts_arg $ algo_arg $ seed_arg $ assign_arg)
+    Term.(const run $ spec_arg $ partitioning_arg)
 
 let refine_cmd =
-  let run spec_path model n_parts algo seed assign output quiet protocol harden
-      (_backend : Sim.Runtime.backend) =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let options = { Core.Refiner.default_options with protocol; harden } in
-    let r =
-      try Core.Refiner.refine ~options p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
-    in
-    begin match Core.Check.run ~original:p r with
-    | Ok () -> ()
-    | Error msgs ->
-      prerr_endline ("mrefine: check failed: " ^ String.concat "; " msgs);
-      exit 1
-    end;
-    if not quiet then begin
-      Printf.eprintf "model: %s\n" (Core.Model.name model);
-      Printf.eprintf "buses: %s\n"
-        (String.concat ", "
-           (List.map
-              (fun (b : Core.Refiner.bus_inst) ->
-                Printf.sprintf "%s(%d masters%s)"
-                  b.Core.Refiner.bi_signals.Core.Protocol.bs_label
-                  (List.length b.Core.Refiner.bi_requesters)
-                  (match b.Core.Refiner.bi_arbiter with
-                  | Some _ -> ", arbitrated"
-                  | None -> ""))
-              r.Core.Refiner.rf_buses));
-      Printf.eprintf "memories: %s\n" (String.concat ", " r.Core.Refiner.rf_memories);
-      Printf.eprintf "moved behaviors: %s\n"
-        (String.concat ", " r.Core.Refiner.rf_moved);
-      Printf.eprintf "size: %d -> %d lines (%.1fx)\n"
-        (Spec.Printer.line_count p)
-        (Spec.Printer.line_count r.Core.Refiner.rf_program)
-        (Core.Metrics.growth ~original:p ~refined:r.Core.Refiner.rf_program)
-    end;
-    write_out output (Spec.Printer.program_to_string r.Core.Refiner.rf_program)
+  let run spec_path design output quiet =
+    let env = if quiet then Command.env else cli_env in
+    finish output (Command.refine env (load_spec spec_path) design)
   in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the report.")
   in
   Cmd.v
     (Cmd.info "refine" ~doc:"Refine a partitioned specification to a model.")
-    Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg $ output_arg $ quiet $ protocol_arg $ harden_arg
-      $ backend_arg)
+    Term.(const run $ spec_arg $ design_arg $ output_arg $ quiet)
 
 let simulate_cmd =
-  let run spec_path vcd_path (_backend : Sim.Runtime.backend) =
-    let p = or_die (load_spec spec_path) in
+  let run spec_path vcd_path backend =
+    let p = (load_spec spec_path).Command.sp_program in
     let config =
       { Sim.Engine.default_config with trace_signals = vcd_path <> None }
     in
-    let r = Sim.Engine.run ~config p in
+    let r = Sim.Engine.run ~config ~backend p in
     Printf.printf "outcome: %s (deltas=%d, steps=%d)\n"
       (Sim.Engine.outcome_to_string r.Sim.Engine.r_outcome)
       r.Sim.Engine.r_deltas r.Sim.Engine.r_steps;
@@ -347,29 +290,22 @@ let simulate_cmd =
     Term.(const run $ spec_arg $ vcd $ backend_arg)
 
 let cosim_cmd =
-  let run spec_path model n_parts algo seed assign protocol harden
-      (_backend : Sim.Runtime.backend) =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let options = { Core.Refiner.default_options with protocol; harden } in
-    let r =
-      try Core.Refiner.refine ~options p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
-    in
+  let run spec_path (design : Command.design) backend =
+    let spec = load_spec spec_path in
+    let r = or_die (Command.refine_design spec design) in
     (* Hardened designs emit reserved watchdog/recovery markers with no
        counterpart in the original trace. *)
     let ignore_prefixes =
-      if harden then Core.Protocol.reserved_tag_prefixes else []
+      if design.ds_harden then Core.Protocol.reserved_tag_prefixes else []
     in
     let v =
-      Sim.Cosim.check ~ignore_prefixes ~original:p
+      Sim.Cosim.check ~backend ~ignore_prefixes ~original:spec.sp_program
         ~refined:r.Core.Refiner.rf_program ()
     in
     if v.Sim.Cosim.v_equivalent then begin
       Printf.printf
         "equivalent: refined %s design matches the original specification\n"
-        (Core.Model.name model);
+        (Core.Model.name design.ds_model);
       Printf.printf "(original: %d deltas; refined: %d deltas)\n"
         v.Sim.Cosim.v_original.Sim.Engine.r_deltas
         v.Sim.Cosim.v_refined.Sim.Engine.r_deltas
@@ -383,13 +319,11 @@ let cosim_cmd =
   Cmd.v
     (Cmd.info "cosim"
        ~doc:"Refine, then co-simulate original vs refined and compare.")
-    Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg $ protocol_arg $ harden_arg $ backend_arg)
+    Term.(const run $ spec_arg $ design_arg $ backend_arg)
 
 let typecheck_cmd =
   let run spec_path =
-    let p = or_die (load_spec spec_path) in
+    let p = (load_spec spec_path).Command.sp_program in
     match Spec.Typecheck.check p with
     | Ok () -> Printf.printf "%s: well typed\n" p.Spec.Ast.p_name
     | Error errs ->
@@ -401,19 +335,11 @@ let typecheck_cmd =
     Term.(const run $ spec_arg)
 
 let export_cmd =
-  let run spec_path backend output refine_first model n_parts algo seed assign =
-    let p = or_die (load_spec spec_path) in
+  let run spec_path backend output refine_first design =
+    let spec = load_spec spec_path in
     let p =
-      if not refine_first then p
-      else begin
-        let g = Agraph.Access_graph.of_program p in
-        let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-        let r =
-          try Core.Refiner.refine p g part model
-          with Core.Refiner.Refine_error msg -> or_die (Error msg)
-        in
-        r.Core.Refiner.rf_program
-      end
+      if not refine_first then spec.Command.sp_program
+      else (or_die (Command.refine_design spec design)).Core.Refiner.rf_program
     in
     let code =
       match backend with
@@ -440,18 +366,13 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export" ~doc:"Generate VHDL or C from a specification.")
     Term.(
-      const run $ spec_arg $ backend $ output_arg $ refine_first $ model_arg
-      $ parts_arg $ algo_arg $ seed_arg $ assign_arg)
+      const run $ spec_arg $ backend $ output_arg $ refine_first
+      $ plain_design_arg)
 
 let quality_cmd =
-  let run spec_path model n_parts algo seed assign =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let r =
-      try Core.Refiner.refine p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
-    in
+  let run spec_path (design : Command.design) =
+    let r = or_die (Command.refine_design (load_spec spec_path) design) in
+    let n_parts = design.ds_partitioning.pt_parts in
     if n_parts > 2 then
       prerr_endline
         "mrefine: note: the default allocation pairs a processor with ASICs";
@@ -466,9 +387,7 @@ let quality_cmd =
   Cmd.v
     (Cmd.info "quality"
        ~doc:"Refine and estimate quality metrics (time, size, gates, pins).")
-    Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg)
+    Term.(const run $ spec_arg $ plain_design_arg)
 
 let demo_cmd =
   let run () =
@@ -499,37 +418,27 @@ let demo_cmd =
     Term.(const run $ const ())
 
 let explore_cmd =
-  let bias_conv =
-    let parse s =
-      match Explore.Candidate.bias_of_string s with
-      | Some b -> Ok b
-      | None ->
-        Error (`Msg (Printf.sprintf
-                       "unknown bias %S (use balanced, local or global)" s))
-    in
-    let print ppf b =
-      Format.pp_print_string ppf (Explore.Candidate.bias_name b)
-    in
-    Arg.conv (parse, print)
-  in
+  let d = Command.default_explore in
   let models_arg =
     Arg.(
       value
-      & opt (list model_conv) Core.Model.all
+      & opt (list model_conv) d.ex_models
       & info [ "models" ] ~docv:"MODELS"
           ~doc:"Comma-separated implementation models to sweep (default: all four).")
   in
   let seeds_arg =
     Arg.(
       value
-      & opt (list int) [ 1; 2; 3 ]
+      & opt (list int) d.ex_seeds
       & info [ "seeds" ] ~docv:"SEEDS"
           ~doc:"Comma-separated partition-search seeds.")
   in
   let biases_arg =
     Arg.(
       value
-      & opt (list bias_conv) Explore.Candidate.all_biases
+      & opt
+          (list (of_decoder Command.bias_of_string Explore.Candidate.bias_name))
+          d.ex_biases
       & info [ "biases" ] ~docv:"BIASES"
           ~doc:"Comma-separated local/global balance targets: balanced, \
                 local, global (default: all three).")
@@ -537,18 +446,15 @@ let explore_cmd =
   let jobs_arg =
     Arg.(
       value
-      & opt int 1
+      & opt int d.ex_jobs
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker domains evaluating candidates in parallel.  The \
                 result is identical for every N.")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
   let top_arg =
     Arg.(
       value
-      & opt int 0
+      & opt int d.ex_top
       & info [ "top" ] ~docv:"K"
           ~doc:"Show only the first K candidate rows (0 = all).  The \
                 Pareto frontier is always printed in full.")
@@ -556,7 +462,7 @@ let explore_cmd =
   let steps_arg =
     Arg.(
       value
-      & opt int 4000
+      & opt int d.ex_steps
       & info [ "steps" ] ~docv:"STEPS"
           ~doc:"Annealing steps per partition search.")
   in
@@ -573,81 +479,33 @@ let explore_cmd =
       value & flag
       & info [ "no-cache" ] ~doc:"Do not read or write the on-disk cache.")
   in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-candidate wall-clock budget.  A candidate exceeding it \
-                (e.g. a runaway simulation) is cancelled cooperatively and \
-                reported as timed out; the other workers are unaffected \
-                and nothing transient is cached.")
-  in
   let retries_arg =
     Arg.(
       value
-      & opt int 2
+      & opt int d.ex_retries
       & info [ "retries" ] ~docv:"N"
           ~doc:"Supervised retries (with exponential backoff) for an \
                 evaluation that raises, before the candidate is \
                 quarantined as crashed.")
   in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"JOURNAL"
-          ~doc:"Checkpoint journal file (created if missing).  Every \
-                definitive evaluation is appended as it completes; rerun \
-                with the same journal after a crash or kill to replay \
-                completed candidates and continue from the frontier.")
-  in
-  let run spec_path models seeds biases n_parts steps jobs json top cache_dir
-      no_cache deadline retries resume output =
-    let p = or_die (load_spec spec_path) in
-    if jobs < 1 then or_die (Error "--jobs must be >= 1");
-    if retries < 0 then or_die (Error "--retries must be >= 0");
-    if models = [] || seeds = [] || biases = [] then
-      or_die (Error "--models, --seeds and --biases must be non-empty");
+  let run spec_path ex_models ex_seeds ex_biases ex_parts ex_steps ex_jobs
+      ex_json ex_top cache_dir no_cache ex_deadline ex_retries resume output =
+    let spec = load_spec spec_path in
     let cache =
-      if no_cache then Explore.Cache.create ()
+      if no_cache then None
       else
-        try Explore.Cache.create ~dir:cache_dir ()
+        try Some (Explore.Cache.create ~dir:cache_dir ())
         with Sys_error msg ->
           or_die
             (Error (Printf.sprintf "cannot create cache directory %s: %s"
                       cache_dir msg))
     in
-    let config =
-      {
-        Explore.Sweep.seeds;
-        biases;
-        models;
-        n_parts;
-        steps;
-        jobs;
-        deadline_s = deadline;
-        retries;
-        backoff_s = Explore.Sweep.default_config.Explore.Sweep.backoff_s;
-      }
-    in
-    let journal =
-      match resume with
-      | None -> None
-      | Some path ->
-        (try
-           Some
-             (Checkpoint.Journal.open_ ~path
-                ~meta:(Explore.Sweep.journal_meta config p))
-         with Checkpoint.Journal.Journal_error msg -> or_die (Error msg))
-    in
-    let sw = Explore.Sweep.run ~cache ?journal config p in
-    Option.iter Checkpoint.Journal.close journal;
-    let report =
-      if json then Explore.Sweep.to_json ~top sw
-      else Explore.Sweep.to_text ~top sw
-    in
-    write_out output report
+    finish output
+      (Command.explore
+         { cli_env with e_cache = cache; e_journal = resume }
+         spec
+         { Command.ex_models; ex_seeds; ex_biases; ex_parts; ex_steps;
+           ex_jobs; ex_top; ex_deadline; ex_retries; ex_json })
   in
   Cmd.v
     (Cmd.info "explore"
@@ -662,27 +520,28 @@ let explore_cmd =
     Term.(
       const run $ spec_arg $ models_arg $ seeds_arg $ biases_arg $ parts_arg
       $ steps_arg $ jobs_arg $ json_arg $ top_arg $ cache_dir_arg
-      $ no_cache_arg $ deadline_arg $ retries_arg $ resume_arg $ output_arg)
+      $ no_cache_arg
+      $ deadline_arg
+          "Per-candidate wall-clock budget.  A candidate exceeding it \
+           (e.g. a runaway simulation) is cancelled cooperatively and \
+           reported as timed out; the other workers are unaffected and \
+           nothing transient is cached."
+      $ retries_arg
+      $ resume_arg
+          "Checkpoint journal file (created if missing).  Every definitive \
+           evaluation is appended as it completes; rerun with the same \
+           journal after a crash or kill to replay completed candidates \
+           and continue from the frontier."
+      $ output_arg)
 
 let faults_cmd =
-  let cls_conv =
-    let parse s =
-      match Faults.Fault.cls_of_name s with
-      | Some c -> Ok c
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown fault class %S (use %s)" s
-               (String.concat ", "
-                  (List.map Faults.Fault.cls_name Faults.Fault.all_classes))))
-    in
-    let print ppf c = Format.pp_print_string ppf (Faults.Fault.cls_name c) in
-    Arg.conv (parse, print)
-  in
+  let d = Command.default_faults in
   let classes_arg =
     Arg.(
       value
-      & opt (list cls_conv) Faults.Fault.all_classes
+      & opt
+          (list (of_decoder Command.fault_class_of_string Faults.Fault.cls_name))
+          d.fl_classes
       & info [ "faults" ] ~docv:"CLASSES"
           ~doc:
             "Comma-separated fault classes to inject: bit-flip, \
@@ -692,44 +551,21 @@ let faults_cmd =
   let seeds_arg =
     Arg.(
       value
-      & opt int 8
+      & opt int d.fl_seeds
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Seeded campaign rounds; each round draws one fault per class.")
   in
   let base_seed_arg =
     Arg.(
       value
-      & opt int 1
+      & opt int d.fl_base_seed
       & info [ "base-seed" ] ~docv:"SEED"
           ~doc:"Base seed of the campaign's deterministic fault draws.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget of the whole campaign: once exceeded, \
-                the running simulation is cancelled cooperatively and the \
-                remaining runs are classified timed-out instead of \
-                hanging the command.")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"JOURNAL"
-          ~doc:"Checkpoint journal file (created if missing).  Every \
-                classified run is appended as it completes; rerun with the \
-                same journal to replay completed runs and continue the \
-                campaign from where it stopped.")
   in
   let ordering_arg =
     Arg.(
       value
-      & opt memord_conv Sim.Memord.Sc
+      & opt memord_conv d.fl_ordering
       & info [ "ordering" ] ~docv:"POLICY"
           ~doc:"Port-ordering semantics of the refined multi-port memory \
                 during the campaign: sc (default, today's sequentially \
@@ -738,64 +574,14 @@ let faults_cmd =
                 and faulty alike, executes under the same policy and \
                 scheduler seed.")
   in
-  let run spec_path model n_parts algo seed assign protocol harden classes
-      seeds base_seed json deadline resume ordering output
-      (_backend : Sim.Runtime.backend) =
-    let p = or_die (load_spec spec_path) in
-    if seeds < 1 then or_die (Error "--seeds must be >= 1");
-    if classes = [] then or_die (Error "--faults must be non-empty");
-    let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let options = { Core.Refiner.default_options with protocol; harden } in
-    let r =
-      try Core.Refiner.refine ~options p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
-    in
-    (* A campaign against an unhardened design: surface the contextual
-       ROBUST001 warnings so the deadlocks below come as no surprise. *)
-    if not harden then begin
-      match Lint.Registry.find_pass "robust" with
-      | None -> ()
-      | Some pass ->
-        let ds =
-          Lint.Registry.run ~phase:Lint.Registry.Post ~typecheck:false
-            ~passes:[ pass ] r.Core.Refiner.rf_program
-        in
-        List.iter
-          (fun d -> prerr_endline ("mrefine: " ^ Spec.Diagnostic.to_string d))
-          ds
-    end;
-    let config =
-      {
-        Faults.Campaign.default_config with
-        Faults.Campaign.cf_seeds = seeds;
-        cf_base_seed = base_seed;
-        cf_classes = classes;
-        cf_deadline_s = deadline;
-        cf_ordering = ordering;
-      }
-    in
-    let journal =
-      match resume with
-      | None -> None
-      | Some path ->
-        (try
-           Some
-             (Checkpoint.Journal.open_ ~path
-                ~meta:(Faults.Campaign.journal_meta config r))
-         with Checkpoint.Journal.Journal_error msg -> or_die (Error msg))
-    in
-    let report =
-      try Faults.Campaign.run ~config ?journal r
-      with Faults.Campaign.Campaign_error msg ->
-        or_die (Error ("fault campaign: " ^ msg))
-    in
-    Option.iter Checkpoint.Journal.close journal;
-    let text =
-      if json then Faults.Campaign.to_json report
-      else Faults.Campaign.to_text report
-    in
-    write_out output text
+  let run spec_path fl_design fl_classes fl_seeds fl_base_seed fl_json
+      fl_deadline resume fl_ordering output fl_backend =
+    finish output
+      (Command.faults
+         { cli_env with e_journal = resume }
+         (load_spec spec_path)
+         { Command.fl_design; fl_classes; fl_seeds; fl_base_seed;
+           fl_deadline; fl_ordering; fl_backend; fl_json })
   in
   Cmd.v
     (Cmd.info "faults"
@@ -807,21 +593,25 @@ let faults_cmd =
           deadlock, silent-corruption or step-limit; with $(b,--harden) \
           the design retries and repairs instead of hanging.")
     Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg $ protocol_arg $ harden_arg $ classes_arg $ seeds_arg
-      $ base_seed_arg $ json_arg $ deadline_arg $ resume_arg $ ordering_arg
-      $ output_arg $ backend_arg)
+      const run $ spec_arg $ design_arg $ classes_arg $ seeds_arg
+      $ base_seed_arg $ json_arg
+      $ deadline_arg
+          "Wall-clock budget of the whole campaign: once exceeded, the \
+           running simulation is cancelled cooperatively and the remaining \
+           runs are classified timed-out instead of hanging the command."
+      $ resume_arg
+          "Checkpoint journal file (created if missing).  Every classified \
+           run is appended as it completes; rerun with the same journal to \
+           replay completed runs and continue the campaign from where it \
+           stopped."
+      $ ordering_arg $ output_arg $ backend_arg)
 
 let litmus_cmd =
+  let d = Command.default_litmus in
   let orderings_arg =
     Arg.(
       value
-      & opt (list memord_conv)
-          [
-            Sim.Memord.Sc;
-            Sim.Memord.Per_port_fifo;
-            Sim.Memord.Relaxed Sim.Memord.default_window;
-          ]
+      & opt (list memord_conv) d.lt_orderings
       & info [ "ordering" ] ~docv:"POLICIES"
           ~doc:"Comma-separated port-ordering policies to run each shape \
                 under: sc, per-port-fifo, relaxed[:N] (default: all \
@@ -830,7 +620,10 @@ let litmus_cmd =
   let shapes_arg =
     Arg.(
       value
-      & opt (list string) []
+      & opt
+          (list
+             (of_decoder Command.shape_of_string (fun s -> s.Litmus.Shape.sh_name)))
+          d.lt_shapes
       & info [ "shape" ] ~docv:"NAMES"
           ~doc:"Comma-separated shape names to run (default: all).  \
                 Available: sb, mp, lb, co, mem, mem-tmr.")
@@ -838,7 +631,7 @@ let litmus_cmd =
   let seeds_arg =
     Arg.(
       value
-      & opt int 4
+      & opt int d.lt_seeds
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Scheduler seeds 1..N per weak ordering (sc is \
                 deterministic and runs once).")
@@ -851,51 +644,11 @@ let litmus_cmd =
                 bit flip pushing an observed register out of the domain, \
                 and a dropped handshake edge) from $(b,lib/faults).")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
-  let run orderings shapes seeds faults json output
-      (_backend : Sim.Runtime.backend) =
-    if seeds < 1 then or_die (Error "--seeds must be >= 1");
-    if orderings = [] then or_die (Error "--ordering must be non-empty");
-    let cf_shapes =
-      match shapes with
-      | [] -> Litmus.Shape.all ()
-      | names ->
-        List.map
-          (fun n ->
-            match Litmus.Shape.find n with
-            | Some s -> s
-            | None ->
-              or_die
-                (Error
-                   (Printf.sprintf
-                      "unknown litmus shape %S (use sb, mp, lb, co, mem or \
-                       mem-tmr)"
-                      n)))
-          names
-    in
-    let cfg =
-      {
-        Litmus.Suite.cf_shapes;
-        cf_orderings = orderings;
-        cf_seeds = seeds;
-        cf_faults = faults;
-        (* [--backend] already set the process default; None defers to it *)
-        cf_backend = None;
-      }
-    in
-    let rp = Litmus.Suite.run cfg in
-    write_out output
-      (if json then Litmus.Suite.to_json rp else Litmus.Suite.to_text rp);
-    (* Forbidden outcomes, corruption outside fault injection, and kernel
-       disagreements all mean the ordering model is broken — fail. *)
-    let bad =
-      rp.Litmus.Suite.rp_forbidden > 0
-      || rp.Litmus.Suite.rp_kernel_mismatches > 0
-      || (not faults) && rp.Litmus.Suite.rp_corruption > 0
-    in
-    if bad then exit 1
+  let run lt_orderings lt_shapes lt_seeds lt_faults lt_json output lt_backend =
+    finish output
+      (Command.litmus cli_env
+         { Command.lt_shapes; lt_orderings; lt_seeds; lt_faults; lt_backend;
+           lt_json })
   in
   Cmd.v
     (Cmd.info "litmus"
@@ -914,24 +667,6 @@ let litmus_cmd =
       $ json_arg $ output_arg $ backend_arg)
 
 let lint_cmd =
-  let severity_conv =
-    let parse s =
-      match Spec.Diagnostic.severity_of_string s with
-      | Some sev -> Ok sev
-      | None ->
-        Error (`Msg (Printf.sprintf
-                       "unknown severity %S (use info, warning or error)" s))
-    in
-    let print ppf sev =
-      Format.pp_print_string ppf (Spec.Diagnostic.severity_name sev)
-    in
-    Arg.conv (parse, print)
-  in
-  let phase_conv =
-    Arg.enum
-      [ ("auto", None); ("pre", Some Lint.Registry.Pre);
-        ("post", Some Lint.Registry.Post) ]
-  in
   let spec_opt_arg =
     Arg.(
       value
@@ -942,7 +677,10 @@ let lint_cmd =
   let severity_arg =
     Arg.(
       value
-      & opt severity_conv Spec.Diagnostic.Info
+      & opt
+          (some ~none:"info"
+             (of_decoder Command.severity_of_string Spec.Diagnostic.severity_name))
+          None
       & info [ "severity" ] ~docv:"LEVEL"
           ~doc:"Report only diagnostics of at least this severity: info \
                 (default), warning or error.")
@@ -953,19 +691,19 @@ let lint_cmd =
       & opt (list string) []
       & info [ "code" ] ~docv:"CODES"
           ~doc:"Report only these comma-separated diagnostic codes, e.g. \
-                RACE001,PROTO002.")
+                RACE001,PROTO002.  With $(b,--fix), fix only these; a code \
+                that cannot be fixed is an error.")
   in
   let phase_arg =
     Arg.(
       value
-      & opt phase_conv None
+      & opt
+          (some ~none:"auto" (of_decoder Command.phase_of_string Command.phase_name))
+          None
       & info [ "phase" ] ~docv:"PHASE"
           ~doc:"Severity policy phase: pre (unpartitioned input), post \
                 (refined output) or auto (detect from the program shape; \
                 default).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
   let workloads_arg =
     Arg.(
@@ -994,11 +732,14 @@ let lint_cmd =
       value & flag
       & info [ "fix" ]
           ~doc:"Rewrite the spec to fix the mechanical diagnostics \
-                (CONT001, PROTO003, WIDTH001; restrict with $(b,--code)) \
-                and print the fixed source.  Every rewrite is gated: it \
-                must re-parse, re-lint clean for the fixed code and \
-                cosimulate bit-identically with the input; refused fixes \
-                are reported on stderr with the reason.")
+                (CONT001, PROTO002, PROTO003, WIDTH001; restrict with \
+                $(b,--code)) and print the fixed source, or the fix report \
+                with $(b,--json).  Every rewrite is gated: it must \
+                re-parse, re-lint clean for the fixed code and cosimulate \
+                bit-identically with the input; refused fixes are reported \
+                on stderr with the reason.  The report-only options \
+                ($(b,--severity), $(b,--phase), $(b,--severity-override), \
+                $(b,--flow)) are rejected.")
   in
   let override_arg =
     Arg.(
@@ -1011,14 +752,14 @@ let lint_cmd =
                 applied before $(b,--severity) filtering and the exit \
                 code.")
   in
-  (* One lint target: a named program with an optional forced phase and,
-     for targets read from a file, the parser's source-line table. *)
-  let lint_target overrides flow (name, p, phase, locs) =
-    let ds = Lint.Registry.run ?phase ~overrides ~flow p in
-    (name, p, phase, locs, ds)
-  in
+  (* The built-in workload specs, then every refined medical
+     (design x model) output at phase post. *)
   let workload_targets () =
-    let builtin =
+    let target tg_name tg_program tg_phase =
+      { Command.tg_name; tg_program; tg_phase; tg_locations = None }
+    in
+    List.map
+      (fun (name, p) -> target name p None)
       [
         ("fig1", Workloads.Smallspecs.fig1);
         ("fig2", Workloads.Smallspecs.fig2);
@@ -1027,9 +768,7 @@ let lint_cmd =
         ("elevator", Workloads.Elevator.spec);
         ("fir", Workloads.Fir.spec);
       ]
-    in
-    let refined =
-      List.concat_map
+    @ List.concat_map
         (fun (d : Workloads.Designs.design) ->
           List.map
             (fun m ->
@@ -1037,137 +776,53 @@ let lint_cmd =
                 Core.Refiner.refine Workloads.Medical.spec
                   Workloads.Medical.graph d.Workloads.Designs.d_partition m
               in
-              ( Printf.sprintf "medical/%s/%s" d.Workloads.Designs.d_name
-                  (Core.Model.name m),
-                r.Core.Refiner.rf_program,
-                Some Lint.Registry.Post ))
+              target
+                (Printf.sprintf "medical/%s/%s" d.Workloads.Designs.d_name
+                   (Core.Model.name m))
+                r.Core.Refiner.rf_program (Some Lint.Registry.Post))
             Core.Model.all)
         Workloads.Designs.all
-    in
-    List.map (fun (n, p) -> (n, p, None)) builtin @ refined
-    |> List.map (fun (n, p, ph) -> (n, p, ph, None))
   in
-  let run spec_path severity codes phase json workloads list_codes overrides
-      flow fix output =
+  let run spec_path severity li_codes phase li_json workloads list_codes
+      overrides li_flow li_fix output =
     if list_codes then begin
       List.iter
         (fun (code, descr) -> Printf.printf "%-9s %s\n" code descr)
         Lint.Registry.code_table;
       exit 0
     end;
-    if fix then begin
-      (match spec_path with
-      | None -> or_die (Error "--fix needs a SPEC file (not --workloads)")
-      | Some path ->
-        let p, _ = or_die (load_spec_located path) in
-        let fix_codes =
-          if codes = [] then Lint.Fixer.fixable_codes
-          else begin
-            match
-              List.filter
-                (fun c -> List.mem c Lint.Fixer.fixable_codes)
-                codes
-            with
-            | [] ->
-              or_die
-                (Error
-                   (Printf.sprintf "no fixable code among %s (fixable: %s)"
-                      (String.concat ", " codes)
-                      (String.concat ", " Lint.Fixer.fixable_codes)))
-            | sel -> sel
-          end
-        in
-        let r = Lint.Fixer.fix ~codes:fix_codes p in
-        if json then begin
-          let applied =
-            List.map
-              (fun (a : Lint.Fixer.applied) ->
-                Printf.sprintf
-                  "{\"code\":\"%s\",\"loc\":\"%s\",\"note\":\"%s\"}"
-                  (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_code)
-                  (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_loc)
-                  (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_note))
-              r.Lint.Fixer.x_applied
-          in
-          let refused =
-            List.map
-              (fun (f : Lint.Fixer.refused) ->
-                Printf.sprintf
-                  "{\"code\":\"%s\",\"loc\":\"%s\",\"reason\":\"%s\"}"
-                  (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_code)
-                  (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_loc)
-                  (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_reason))
-              r.Lint.Fixer.x_refused
-          in
-          write_out output
-            (Printf.sprintf
-               "{\"changed\":%b,\"applied\":[%s],\"refused\":[%s],\
-                \"source\":\"%s\"}"
-               r.Lint.Fixer.x_changed
-               (String.concat "," applied)
-               (String.concat "," refused)
-               (Spec.Diagnostic.json_escape r.Lint.Fixer.x_source))
-        end
-        else begin
-          List.iter
-            (fun (a : Lint.Fixer.applied) ->
-              Printf.eprintf "applied %s %s: %s\n" a.Lint.Fixer.fx_code
-                a.Lint.Fixer.fx_loc a.Lint.Fixer.fx_note)
-            r.Lint.Fixer.x_applied;
-          List.iter
-            (fun (f : Lint.Fixer.refused) ->
-              Printf.eprintf "refused %s %s: %s\n" f.Lint.Fixer.fr_code
-                f.Lint.Fixer.fr_loc f.Lint.Fixer.fr_reason)
-            r.Lint.Fixer.x_refused;
-          write_out output r.Lint.Fixer.x_source
-        end);
-      exit 0
-    end;
-    let overrides =
-      List.map
-        (fun s ->
-          match Lint.Registry.parse_override s with
-          | Ok ov -> ov
-          | Error msg -> or_die (Error msg))
-        overrides
+    or_die
+      (Command.check_fix_options ~fix:li_fix
+         (List.filter_map
+            (fun (given, name) -> if given then Some name else None)
+            [
+              (severity <> None, "--severity");
+              (phase <> None, "--phase");
+              (overrides <> [], "--severity-override");
+              (li_flow, "--flow");
+            ]));
+    let r =
+      {
+        Command.default_lint with
+        li_codes;
+        li_json;
+        li_fix;
+        li_severity = Option.value severity ~default:Spec.Diagnostic.Info;
+        li_phase = Option.join phase;
+        li_overrides =
+          List.map (fun s -> or_die (Lint.Registry.parse_override s)) overrides;
+        li_flow;
+      }
     in
-    let targets =
-      if workloads then workload_targets ()
-      else
-        match spec_path with
-        | None -> or_die (Error "give a SPEC file or --workloads")
-        | Some path ->
-          let p, locs = or_die (load_spec_located path) in
-          [ (path, p, phase, Some locs) ]
-    in
-    let results = List.map (lint_target overrides flow) targets in
-    let keep d =
-      Spec.Diagnostic.severity_rank d.Spec.Diagnostic.d_severity
-      <= Spec.Diagnostic.severity_rank severity
-      && (codes = [] || List.mem d.Spec.Diagnostic.d_code codes)
-    in
-    let targets =
-      List.map
-        (fun (name, p, ph, locs, ds) ->
-          let ds = List.filter keep ds in
-          let ds =
-            match locs with
-            | Some locs -> Lint.Report.locate ~file:name locs ds
-            | None -> ds
-          in
-          let t_phase =
-            match ph with
-            | Some ph -> ph
-            | None -> Lint.Registry.infer_phase p
-          in
-          { Lint.Report.t_name = name; t_phase; t_diags = ds })
-        results
-    in
-    let report =
-      if json then Lint.Report.to_json targets else Lint.Report.to_text targets
-    in
-    write_out output report;
-    if Lint.Report.errors targets > 0 then exit 1
+    match spec_path with
+    | _ when workloads && not li_fix ->
+      finish output (Ok (Command.lint_targets r (workload_targets ())))
+    | None when li_fix ->
+      or_die (Error "--fix needs a SPEC file (not --workloads)")
+    | None -> or_die (Error "give a SPEC file or --workloads")
+    | Some path ->
+      finish output
+        (Command.lint cli_env (load_spec path) { r with li_file = path })
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1330,25 +985,8 @@ let serve_cmd =
       or_die (Error "--max-connections must be >= 1");
     if max_frame_bytes < 1024 then
       or_die (Error "--max-frame-bytes must be >= 1024");
-    let token =
-      match (token, token_file) with
-      | Some _, Some _ ->
-        or_die (Error "give only one of --token and --token-file")
-      | Some t, None -> Some t
-      | None, Some path -> Some (String.trim (read_file path))
-      | None, None -> None
-    in
-    let listen =
-      match listen with
-      | None -> None
-      | Some s -> (
-        match Serve.Server.endpoint_of_string s with
-        | Ok (Serve.Server.Tcp _ as e) -> Some e
-        | Ok (Serve.Server.Unix_path _) ->
-          or_die (Error "--listen wants HOST:PORT (the Unix socket is \
-                         always bound via --socket)")
-        | Error msg -> or_die (Error msg))
-    in
+    let token = resolve_token token token_file in
+    let listen = Option.map (tcp_endpoint ~flag:"--listen") listen in
     let session =
       try
         Serve.Session.create ?cache_dir ?cache_entries:cache_entries
@@ -1385,12 +1023,7 @@ let serve_cmd =
     in
     let server =
       try Serve.Server.start ~config ?listen ~socket scheduler
-      with Unix.Unix_error (err, _, msg) ->
-        or_die
-          (Error
-             (Printf.sprintf "cannot listen on %s: %s%s" socket
-                (Unix.error_message err)
-                (if msg = "" then "" else " (" ^ msg ^ ")")))
+      with Unix.Unix_error (err, _, msg) -> cannot_listen socket err msg
     in
     let stop _ = Serve.Server.stop server in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
@@ -1611,24 +1244,11 @@ let client_cmd =
       shutdown raw =
     if retries < 0 then or_die (Error "--retries must be >= 0");
     if retry_backoff < 1 then or_die (Error "--retry-backoff must be >= 1");
-    let token =
-      match (token, token_file) with
-      | Some _, Some _ ->
-        or_die (Error "give only one of --token and --token-file")
-      | Some t, None -> Some t
-      | None, Some path -> Some (String.trim (read_file path))
-      | None, None -> None
-    in
+    let token = resolve_token token token_file in
     let endpoint =
       match connect_to with
       | None -> Serve.Server.Unix_path socket
-      | Some s -> (
-        match Serve.Server.endpoint_of_string s with
-        | Ok (Serve.Server.Tcp _ as e) -> e
-        | Ok (Serve.Server.Unix_path _) ->
-          or_die (Error "--connect wants HOST:PORT (Unix sockets go via \
-                         --socket)")
-        | Error msg -> or_die (Error msg))
+      | Some s -> tcp_endpoint ~flag:"--connect" s
     in
     Random.self_init ();
     (* One cached connection, re-dialed transparently after transport
@@ -1884,12 +1504,7 @@ let chaos_cmd =
             Printf.eprintf "mrefine chaos: conn %d: %s\n%!" i
               (Serve.Chaos.fault_to_string fault))
           ~listen:(parse listen) ~upstream ~seed ()
-      with Unix.Unix_error (err, _, msg) ->
-        or_die
-          (Error
-             (Printf.sprintf "cannot listen on %s: %s%s" listen
-                (Unix.error_message err)
-                (if msg = "" then "" else " (" ^ msg ^ ")")))
+      with Unix.Unix_error (err, _, msg) -> cannot_listen listen err msg
     in
     (match Serve.Chaos.port proxy with
     | Some port ->

@@ -87,11 +87,12 @@ let decode_outcome blob =
 let run ?cache ?alloc ?journal ?evaluate config spec =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let before = Cache.stats cache in
-  let ctx = Evaluate.make_ctx ?alloc spec in
   let evaluate =
     match evaluate with
     | Some f -> f
-    | None -> Evaluate.run ~cache ?deadline_s:config.deadline_s ctx
+    | None ->
+      Evaluate.run ~cache ?deadline_s:config.deadline_s
+        (Evaluate.make_ctx ?alloc spec)
   in
   let candidates =
     Candidate.enumerate ~n_parts:config.n_parts ~steps:config.steps
@@ -279,27 +280,12 @@ let to_text ?(top = 0) t =
 
 (* --- JSON report --------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_result (r : Evaluate.result) =
   let c = r.Evaluate.r_candidate in
   let base =
     Printf.sprintf
       "\"candidate\":\"%s\",\"seed\":%d,\"bias\":\"%s\",\"model\":\"%s\",\"cached\":%b,\"replayed\":%b"
-      (json_escape (Candidate.label c))
+      (Spec.Json.escape (Candidate.label c))
       c.Candidate.c_seed
       (Candidate.bias_name c.Candidate.c_bias)
       (Core.Model.name c.Candidate.c_model)
@@ -309,7 +295,7 @@ let json_of_result (r : Evaluate.result) =
   | Error f ->
     Printf.sprintf "{%s,\"failure\":\"%s\",\"error\":\"%s\"}" base
       (Evaluate.failure_kind f)
-      (json_escape (Evaluate.failure_message f))
+      (Spec.Json.escape (Evaluate.failure_message f))
   | Ok m ->
     Printf.sprintf
       "{%s,\"locals\":%d,\"globals\":%d,\"comm_bits\":%d,\
@@ -337,7 +323,7 @@ let to_json ?(top = 0) t =
     t.sw_coverage t.sw_replayed
     (String.concat ","
        (List.map
-          (fun (kind, n) -> Printf.sprintf "\"%s\":%d" (json_escape kind) n)
+          (fun (kind, n) -> Printf.sprintf "\"%s\":%d" (Spec.Json.escape kind) n)
           t.sw_failures))
     (String.concat "," (List.map json_of_result (take top t.sw_results)))
     (String.concat "," (List.map json_of_result t.sw_frontier))

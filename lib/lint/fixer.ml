@@ -745,3 +745,16 @@ let fix ?(codes = fixable_codes) ?(poll = fun () -> false) (p0 : program) =
     x_refused = refused;
     x_changed = not (equal_program p p0);
   }
+
+let to_json r =
+  let obj fields = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) fields) in
+  let applied a = obj [ ("code", a.fx_code); ("loc", a.fx_loc); ("note", a.fx_note) ] in
+  let refused f =
+    obj [ ("code", f.fr_code); ("loc", f.fr_loc); ("reason", f.fr_reason) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("changed", Json.Bool r.x_changed);
+         ("applied", Json.List (List.map applied r.x_applied));
+         ("refused", Json.List (List.map refused r.x_refused));
+         ("source", Json.String r.x_source) ])

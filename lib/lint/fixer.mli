@@ -50,3 +50,9 @@ val fix :
     pristine input program.  [poll] (default: never) is consulted
     before each candidate's validate/re-lint/cosimulate gate; when it
     returns [true] the fix run stops by raising {!Cancelled}. *)
+
+val to_json : result -> string
+(** The fix report of [mrefine lint --fix --json] and of served fix
+    jobs: [{"changed":..,"applied":[{"code","loc","note"}..],
+    "refused":[{"code","loc","reason"}..],"source":".."}], one line, no
+    trailing newline. *)

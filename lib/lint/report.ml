@@ -76,17 +76,17 @@ let to_text targets =
   Buffer.contents buf
 
 let to_json targets =
-  Printf.sprintf "{\"targets\":[%s],\"errors\":%d,\"warnings\":%d}"
-    (String.concat ","
-       (List.map
-          (fun t ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"phase\":\"%s\",\"errors\":%d,\
-               \"warnings\":%d,\"diagnostics\":[%s]}"
-              (Diagnostic.json_escape t.t_name)
-              (phase_name t.t_phase)
-              (Diagnostic.count Diagnostic.Error t.t_diags)
-              (Diagnostic.count Diagnostic.Warning t.t_diags)
-              (String.concat "," (List.map Diagnostic.to_json t.t_diags)))
-          targets))
-    (errors targets) (warnings targets)
+  let count sev t = Json.Int (Diagnostic.count sev t.t_diags) in
+  let target t =
+    Json.Obj
+      [ ("name", Json.String t.t_name);
+        ("phase", Json.String (phase_name t.t_phase));
+        ("errors", count Diagnostic.Error t);
+        ("warnings", count Diagnostic.Warning t);
+        ("diagnostics", Json.List (List.map Diagnostic.json t.t_diags)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("targets", Json.List (List.map target targets));
+         ("errors", Json.Int (errors targets));
+         ("warnings", Json.Int (warnings targets)) ])

@@ -12,7 +12,7 @@ type config = {
   cf_faults : bool;  (** also run the canned per-shape fault plans *)
   cf_backend : Sim.Runtime.backend option;
       (** engine-kernel leaf machine ([`Reference] always tree-walks);
-          [None] = the process default *)
+          [None] = {!Sim.Engine.run}'s default *)
 }
 
 val default_config : unit -> config

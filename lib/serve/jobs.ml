@@ -1,609 +1,245 @@
 (** Job execution; see the interface. *)
 
-type outcome = {
+type outcome = Command.outcome = {
   o_output : string;
   o_meta : (string * Protocol.json) list;
+  o_failed : bool;
 }
 
-let cancelled_message = "cancelled"
+let cancelled_message = Command.cancelled_message
+
+module Json = Spec.Json
 
 let ( let* ) = Result.bind
 
-let check_poll poll = if poll () then Error cancelled_message else Ok ()
+(* --- decoding: JSON fields into Command requests ------------------------ *)
 
-(* --- shared parameter decoding ----------------------------------------- *)
+let all f xs =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* v = f x in
+      Ok (v :: acc))
+    (Ok []) xs
+  |> Result.map List.rev
 
-let model_field j =
-  let* name = Protocol.string_field ~default:"model2" "model" j in
-  match Core.Model.of_string name with
-  | Some m -> Ok m
-  | None -> Error (Printf.sprintf "unknown model %S (use 1-4)" name)
+(* An enumeration field: absent means [default]. *)
+let enum of_string ~default key j =
+  match Json.member key j with
+  | None -> Ok default
+  | Some _ -> Result.bind (Json.string_field key j) of_string
 
-let algo_field j =
-  let* name = Protocol.string_field ~default:"greedy" "algo" j in
-  match name with
-  | "greedy" -> Ok `Greedy
-  | "kl" -> Ok `Kl
-  | "annealing" -> Ok `Annealing
-  | "clustering" -> Ok `Clustering
-  | a ->
-    Error
-      (Printf.sprintf
-         "unknown algo %S (use greedy, kl, annealing or clustering)" a)
+let enum_list of_string ~default key j =
+  match Json.member key j with
+  | None -> Ok default
+  | Some _ -> Result.bind (Json.string_list_field key j) (all of_string)
 
-let protocol_field j =
-  let* name = Protocol.string_field ~default:"four-phase" "protocol" j in
-  match name with
-  | "four-phase" -> Ok Core.Protocol.Four_phase
-  | "two-phase" -> Ok Core.Protocol.Two_phase
-  | p ->
-    Error (Printf.sprintf "unknown protocol %S (use four-phase or two-phase)" p)
+let int_list_field ~default key j =
+  match Json.member key j with
+  | None -> Ok default
+  | Some (Json.List xs) ->
+    all
+      (function
+        | Json.Int n -> Ok n
+        | _ -> Error (Printf.sprintf "field %S must hold integers" key))
+      xs
+  | Some _ -> Error (Printf.sprintf "field %S must be an array" key)
 
-let assign_field j =
-  match Protocol.member "assign" j with
-  | Some (Protocol.String s) -> Some s
-  | _ -> None
-
-(* The CLI's partition construction ([mrefine --assign] / [--algo]),
-   against a served graph. *)
-let partition_of_assign g n_parts assign =
-  let parse_entry e =
-    match String.split_on_char '=' (String.trim e) with
-    | [ name; idx ] ->
-      let name = String.trim name in
-      let idx = int_of_string (String.trim idx) in
-      let obj =
-        if List.mem name g.Agraph.Access_graph.g_objects then
-          Partitioning.Partition.Obj_behavior name
-        else if List.mem name g.Agraph.Access_graph.g_variables then
-          Partitioning.Partition.Obj_variable name
-        else failwith (Printf.sprintf "unknown object %s" name)
-      in
-      (obj, idx)
-    | _ -> failwith (Printf.sprintf "bad assignment entry %S" e)
+let design_of_json j =
+  let d = Command.default_design and pt = Command.default_partitioning in
+  let* ds_model = enum Command.model_of_string ~default:d.ds_model "model" j in
+  let* pt_parts = Json.int_field ~default:pt.pt_parts "parts" j in
+  let* pt_algo = enum Command.algo_of_string ~default:pt.pt_algo "algo" j in
+  let* pt_seed = Json.int_field ~default:pt.pt_seed "seed" j in
+  let pt_assign =
+    match Json.member "assign" j with
+    | Some (Json.String s) -> Some s
+    | _ -> None
   in
-  match List.map parse_entry (String.split_on_char ',' assign) with
-  | assocs ->
-    let part = Partitioning.Partition.make ~n_parts assocs in
-    begin match Partitioning.Partition.complete_for g part with
-    | Ok () -> Ok part
-    | Error msgs -> Error (String.concat "; " msgs)
-    end
-  | exception Failure msg -> Error msg
-  | exception _ -> Error (Printf.sprintf "bad assignment %S" assign)
-
-let make_partition g ~n_parts ~algo ~seed ~assign =
-  if n_parts < 1 then Error "parts must be >= 1"
-  else
-    match assign with
-    | Some a -> partition_of_assign g n_parts a
-    | None ->
-      Ok
-        (match algo with
-        | `Greedy -> Partitioning.Greedy.run g ~n_parts
-        | `Kl -> Partitioning.Kl.run_from_scratch g ~n_parts
-        | `Annealing ->
-          Partitioning.Annealing.run
-            ~config:{ Partitioning.Annealing.default_config with seed }
-            g ~n_parts
-        | `Clustering -> Partitioning.Clustering.run g ~n_parts)
-
-(* One refinement from decoded CLI-style parameters.  Shared by the
-   refine and faults kinds. *)
-let refine_design (elab : Session.elab) ~n_parts ~algo ~seed ~assign ~protocol
-    ~harden ~model =
-  let* part =
-    make_partition elab.Session.el_graph ~n_parts ~algo ~seed ~assign
+  let* ds_protocol =
+    enum Command.protocol_of_string ~default:d.ds_protocol "protocol" j
   in
-  let options = { Core.Refiner.default_options with protocol; harden } in
-  match Core.Refiner.refine ~options elab.Session.el_program
-          elab.Session.el_graph part model
-  with
-  | r -> Ok (part, r)
-  | exception Core.Refiner.Refine_error msg -> Error msg
+  let* ds_harden = Json.bool_field ~default:d.ds_harden "harden" j in
+  Ok
+    {
+      Command.ds_model;
+      ds_partitioning = { Command.pt_parts; pt_algo; pt_seed; pt_assign };
+      ds_protocol;
+      ds_harden;
+    }
 
-(* Parameter digests keying served-result memoization in the shared
-   cache.  Key domains are prefixed so they never collide with
-   {!Explore.Evaluate}'s refinement and lint entries. *)
-let refine_key (elab : Session.elab) ~n_parts ~algo ~seed ~assign ~protocol
-    ~harden ~model =
+let backend_of_json ~default j =
+  enum Sim.Runtime.backend_of_string ~default "backend" j
+
+let lint_of_json j =
+  let d = Command.default_lint in
+  let* li_file = Json.string_field ~default:d.li_file "file" j in
+  let* li_severity =
+    enum Command.severity_of_string ~default:d.li_severity "severity" j
+  in
+  let* li_codes = Json.string_list_field ~default:[] "codes" j in
+  let* li_phase = enum Command.phase_of_string ~default:d.li_phase "phase" j in
+  let* li_overrides =
+    enum_list Lint.Registry.parse_override ~default:[] "overrides" j
+  in
+  let* li_json = Json.bool_field ~default:false "json" j in
+  let* li_flow = Json.bool_field ~default:false "flow" j in
+  let* li_fix = Json.bool_field ~default:false "fix" j in
+  (* A served fix always replies with the JSON fix report, so [json]
+     joins the report-only fields the fix policy rejects. *)
+  let* () =
+    Command.check_fix_options ~fix:li_fix
+      (List.filter
+         (fun k -> Option.is_some (Json.member k j))
+         [ "severity"; "phase"; "overrides"; "json"; "flow" ])
+  in
+  Ok
+    {
+      Command.li_file;
+      li_codes;
+      li_json = li_json || li_fix;
+      li_fix;
+      li_severity;
+      li_phase;
+      li_overrides;
+      li_flow;
+    }
+
+let explore_of_json j =
+  let d = Command.default_explore in
+  let* ex_models =
+    enum_list Command.model_of_string ~default:d.ex_models "models" j
+  in
+  let* ex_seeds = int_list_field ~default:d.ex_seeds "seeds" j in
+  let* ex_biases =
+    enum_list Command.bias_of_string ~default:d.ex_biases "biases" j
+  in
+  let* ex_parts = Json.int_field ~default:d.ex_parts "parts" j in
+  let* ex_steps = Json.int_field ~default:d.ex_steps "steps" j in
+  let* ex_jobs = Json.int_field ~default:d.ex_jobs "jobs" j in
+  let* ex_top = Json.int_field ~default:d.ex_top "top" j in
+  let* ex_deadline = Json.float_field "deadline" j in
+  let* ex_retries = Json.int_field ~default:d.ex_retries "retries" j in
+  let* ex_json = Json.bool_field ~default:false "json" j in
+  Ok
+    { Command.ex_models; ex_seeds; ex_biases; ex_parts; ex_steps; ex_jobs;
+      ex_top; ex_deadline; ex_retries; ex_json }
+
+let faults_of_json j =
+  let d = Command.default_faults in
+  let* fl_design = design_of_json j in
+  let* fl_classes =
+    enum_list Command.fault_class_of_string ~default:d.fl_classes "classes" j
+  in
+  let* fl_seeds = Json.int_field ~default:d.fl_seeds "seeds" j in
+  let* fl_base_seed =
+    Json.int_field ~default:d.fl_base_seed "base_seed" j
+  in
+  let* fl_deadline = Json.float_field "deadline" j in
+  let* fl_ordering =
+    enum Sim.Memord.policy_of_string ~default:d.fl_ordering "ordering" j
+  in
+  let* fl_backend = backend_of_json ~default:d.fl_backend j in
+  let* fl_json = Json.bool_field ~default:false "json" j in
+  Ok
+    { Command.fl_design; fl_classes; fl_seeds; fl_base_seed; fl_deadline;
+      fl_ordering; fl_backend; fl_json }
+
+let litmus_of_json j =
+  let d = Command.default_litmus in
+  let* lt_orderings =
+    enum_list Sim.Memord.policy_of_string ~default:d.lt_orderings "orderings"
+      j
+  in
+  let* lt_shapes =
+    enum_list Command.shape_of_string ~default:d.lt_shapes "shapes" j
+  in
+  let* lt_seeds = Json.int_field ~default:d.lt_seeds "seeds" j in
+  let* lt_faults = Json.bool_field ~default:false "faults" j in
+  let* lt_backend = backend_of_json ~default:d.lt_backend j in
+  let* lt_json = Json.bool_field ~default:false "json" j in
+  Ok { Command.lt_shapes; lt_orderings; lt_seeds; lt_faults; lt_backend; lt_json }
+
+(* --- refine memoization ------------------------------------------------- *)
+
+(* Served refinements are memoized in the shared cache under a digest of
+   the source and every request field.  The key domain is prefixed so it
+   never collides with {!Explore.Evaluate}'s refinement and lint
+   entries. *)
+let refine_key (elab : Session.elab) (d : Command.design) =
+  let pt = d.ds_partitioning in
   Explore.Cache.digest_key
     [
       "serve-refine-1";
       elab.Session.el_digest;
-      string_of_int n_parts;
-      (match algo with
-      | `Greedy -> "greedy"
-      | `Kl -> "kl"
-      | `Annealing -> "annealing"
-      | `Clustering -> "clustering");
-      string_of_int seed;
-      (match assign with Some a -> a | None -> "");
-      (match protocol with
-      | Core.Protocol.Four_phase -> "four-phase"
-      | Core.Protocol.Two_phase -> "two-phase");
-      string_of_bool harden;
-      Core.Model.name model;
+      string_of_int pt.pt_parts;
+      Command.algo_name pt.pt_algo;
+      string_of_int pt.pt_seed;
+      Option.value ~default:"" pt.pt_assign;
+      Core.Protocol.style_name d.ds_protocol;
+      string_of_bool d.ds_harden;
+      Core.Model.name d.ds_model;
     ]
 
-(* --- refine ------------------------------------------------------------- *)
-
-let run_refine ~session ~poll elab j =
-  let* model = model_field j in
-  let* n_parts = Protocol.int_field ~default:2 "parts" j in
-  let* algo = algo_field j in
-  let* seed = Protocol.int_field ~default:42 "seed" j in
-  let* protocol = protocol_field j in
-  let* harden = Protocol.bool_field ~default:false "harden" j in
-  let assign = assign_field j in
-  let* () = check_poll poll in
-  let key =
-    refine_key elab ~n_parts ~algo ~seed ~assign ~protocol ~harden ~model
-  in
-  let compute () =
-    let* _part, r =
-      refine_design elab ~n_parts ~algo ~seed ~assign ~protocol ~harden ~model
-    in
-    let* () =
-      match Core.Check.run ~original:elab.Session.el_program r with
-      | Ok () -> Ok ()
-      | Error msgs -> Error ("check failed: " ^ String.concat "; " msgs)
-    in
-    Ok (Spec.Printer.program_to_string r.Core.Refiner.rf_program)
-  in
-  let* text, cached =
-    match
-      Explore.Cache.find_or_add ~count_stats:false (Session.cache session) key
-        (fun () ->
-          match compute () with Ok t -> Ok t | Error _ as e -> e)
-    with
-    | Ok t, cached -> Ok (t, cached)
-    | (Error _ as e), _ -> (match e with Error m -> Error m | Ok _ -> assert false)
-  in
-  Ok
-    {
-      o_output = text;
-      o_meta =
-        [
-          ("model", Protocol.String (Core.Model.name model));
-          ("cached", Protocol.Bool cached);
-        ];
-    }
-
-(* --- lint --------------------------------------------------------------- *)
-
-let severity_field j =
-  let* name = Protocol.string_field ~default:"info" "severity" j in
-  match Spec.Diagnostic.severity_of_string name with
-  | Some s -> Ok s
-  | None ->
-    Error
-      (Printf.sprintf "unknown severity %S (use info, warning or error)" name)
-
-let phase_field j =
-  let* name = Protocol.string_field ~default:"auto" "phase" j in
-  match name with
-  | "auto" -> Ok None
-  | "pre" -> Ok (Some Lint.Registry.Pre)
-  | "post" -> Ok (Some Lint.Registry.Post)
-  | p -> Error (Printf.sprintf "unknown phase %S (use auto, pre or post)" p)
-
-let overrides_field j =
-  let* raw = Protocol.string_list_field ~default:[] "overrides" j in
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      let* ov = Lint.Registry.parse_override s in
-      Ok (ov :: acc))
-    (Ok []) raw
-  |> Result.map List.rev
-
-let run_lint ~session:_ ~poll (elab : Session.elab) j =
-  let* file = Protocol.string_field ~default:"<spec>" "file" j in
-  let* severity = severity_field j in
-  let* codes = Protocol.string_list_field ~default:[] "codes" j in
-  let* phase = phase_field j in
-  let* overrides = overrides_field j in
-  let* json = Protocol.bool_field ~default:false "json" j in
-  let* flow = Protocol.bool_field ~default:false "flow" j in
-  let* fix = Protocol.bool_field ~default:false "fix" j in
-  let* () = check_poll poll in
-  let p = elab.Session.el_program in
-  if fix then begin
-    (* The fixer runs the full pass set on its own candidates and emits
-       a rewrite report, so the lint-report knobs have no effect here:
-       reject them loudly rather than silently ignoring them. *)
-    let* () =
-      match
-        List.filter
-          (fun k -> Option.is_some (Protocol.member k j))
-          [ "severity"; "phase"; "overrides"; "json"; "flow" ]
-      with
-      | [] -> Ok ()
-      | ks ->
-        Error
-          (Printf.sprintf "field(s) %s do not apply when fix is true"
-             (String.concat ", " ks))
-    in
-    let* fix_codes =
-      if codes = [] then Ok Lint.Fixer.fixable_codes
-      else
-        match
-          List.filter
-            (fun c -> not (List.mem c Lint.Fixer.fixable_codes))
-            codes
-        with
-        | [] -> Ok codes
-        | bad ->
-          Error
-            (Printf.sprintf "code(s) %s are not fixable (fixable: %s)"
-               (String.concat ", " bad)
-               (String.concat ", " Lint.Fixer.fixable_codes))
-    in
-    let* r =
-      match Lint.Fixer.fix ~codes:fix_codes ~poll p with
-      | r -> Ok r
-      | exception Lint.Fixer.Cancelled -> Error cancelled_message
-    in
-    let applied =
-      List.map
-        (fun (a : Lint.Fixer.applied) ->
-          Printf.sprintf "{\"code\":\"%s\",\"loc\":\"%s\",\"note\":\"%s\"}"
-            (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_code)
-            (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_loc)
-            (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_note))
-        r.Lint.Fixer.x_applied
-    in
-    let refused =
-      List.map
-        (fun (f : Lint.Fixer.refused) ->
-          Printf.sprintf "{\"code\":\"%s\",\"loc\":\"%s\",\"reason\":\"%s\"}"
-            (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_code)
-            (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_loc)
-            (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_reason))
-        r.Lint.Fixer.x_refused
-    in
-    Ok
-      {
-        o_output =
-          Printf.sprintf
-            "{\"changed\":%b,\"applied\":[%s],\"refused\":[%s],\
-             \"source\":\"%s\"}"
-            r.Lint.Fixer.x_changed
-            (String.concat "," applied)
-            (String.concat "," refused)
-            (Spec.Diagnostic.json_escape r.Lint.Fixer.x_source);
-        o_meta =
-          [
-            ("applied", Protocol.Int (List.length r.Lint.Fixer.x_applied));
-            ("refused", Protocol.Int (List.length r.Lint.Fixer.x_refused));
-          ];
-      }
-  end
-  else
-  let ds = Lint.Registry.run ?phase ~overrides ~flow p in
-  let keep d =
-    Spec.Diagnostic.severity_rank d.Spec.Diagnostic.d_severity
-    <= Spec.Diagnostic.severity_rank severity
-    && (codes = [] || List.mem d.Spec.Diagnostic.d_code codes)
-  in
-  let ds = List.filter keep ds in
-  let ds = Lint.Report.locate ~file elab.Session.el_locations ds in
-  let resolved =
-    match phase with Some ph -> ph | None -> Lint.Registry.infer_phase p
-  in
-  let targets =
-    [ { Lint.Report.t_name = file; t_phase = resolved; t_diags = ds } ]
-  in
-  let text =
-    if json then Lint.Report.to_json targets else Lint.Report.to_text targets
-  in
-  Ok
-    {
-      o_output = text;
-      o_meta =
-        [
-          ("errors", Protocol.Int (Lint.Report.errors targets));
-          ("warnings", Protocol.Int (Lint.Report.warnings targets));
-        ];
-    }
-
-(* --- explore ------------------------------------------------------------ *)
-
-let models_field j =
-  let* raw =
-    Protocol.string_list_field
-      ~default:(List.map Core.Model.name Core.Model.all)
-      "models" j
-  in
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      match Core.Model.of_string s with
-      | Some m -> Ok (m :: acc)
-      | None -> Error (Printf.sprintf "unknown model %S (use 1-4)" s))
-    (Ok []) raw
-  |> Result.map List.rev
-
-let biases_field j =
-  let* raw =
-    Protocol.string_list_field
-      ~default:(List.map Explore.Candidate.bias_name
-                  Explore.Candidate.all_biases)
-      "biases" j
-  in
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      match Explore.Candidate.bias_of_string s with
-      | Some b -> Ok (b :: acc)
-      | None ->
-        Error
-          (Printf.sprintf "unknown bias %S (use balanced, local or global)" s))
-    (Ok []) raw
-  |> Result.map List.rev
-
-let int_list_field ~default key j =
-  match Protocol.member key j with
-  | None -> Ok default
-  | Some (Protocol.List xs) ->
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        match x with
-        | Protocol.Int n -> Ok (n :: acc)
-        | _ -> Error (Printf.sprintf "field %S must hold integers" key))
-      (Ok []) xs
-    |> Result.map List.rev
-  | Some _ -> Error (Printf.sprintf "field %S must be an array" key)
-
-let run_explore ~session ~poll (elab : Session.elab) j =
-  let* models = models_field j in
-  let* seeds = int_list_field ~default:[ 1; 2; 3 ] "seeds" j in
-  let* biases = biases_field j in
-  let* n_parts = Protocol.int_field ~default:2 "parts" j in
-  let* steps = Protocol.int_field ~default:4000 "steps" j in
-  let* jobs = Protocol.int_field ~default:1 "jobs" j in
-  let* top = Protocol.int_field ~default:0 "top" j in
-  let* deadline = Protocol.float_field "deadline" j in
-  let* retries = Protocol.int_field ~default:2 "retries" j in
-  let* json = Protocol.bool_field ~default:false "json" j in
-  if jobs < 1 then Error "jobs must be >= 1"
-  else if retries < 0 then Error "retries must be >= 0"
-  else if models = [] || seeds = [] || biases = [] then
-    Error "models, seeds and biases must be non-empty"
-  else
-    let* () = check_poll poll in
-    let config =
-      {
-        Explore.Sweep.seeds;
-        biases;
-        models;
-        n_parts;
-        steps;
-        jobs;
-        deadline_s = deadline;
-        retries;
-        backoff_s = Explore.Sweep.default_config.Explore.Sweep.backoff_s;
-      }
-    in
-    let cache = Session.cache session in
-    (* The override threads the daemon's cancel poll into every
-       candidate while reusing the session's shared context, so two
-       explore jobs over one spec share partition searches and
-       refinements through the hot cache. *)
-    let evaluate cand =
-      Explore.Evaluate.run ~cache ?deadline_s:deadline ~poll
-        elab.Session.el_ctx cand
-    in
-    let sw = Explore.Sweep.run ~cache ~evaluate config elab.Session.el_program in
-    let* () = check_poll poll in
-    let text =
-      if json then Explore.Sweep.to_json ~top sw
-      else Explore.Sweep.to_text ~top sw
-    in
+let run_refine ~session env elab spec j =
+  let* d = design_of_json j in
+  let* () = if env.Command.e_poll () then Error cancelled_message else Ok () in
+  match
+    Explore.Cache.find_or_add ~count_stats:false (Session.cache session)
+      (refine_key elab d) (fun () ->
+        Result.map (fun o -> o.o_output) (Command.refine env spec d))
+  with
+  | Error msg, _ -> Error msg
+  | Ok text, cached ->
     Ok
       {
         o_output = text;
         o_meta =
           [
-            ("candidates", Protocol.Int (List.length sw.Explore.Sweep.sw_results));
-            ("coverage", Protocol.Float sw.Explore.Sweep.sw_coverage);
-            ("hits", Protocol.Int sw.Explore.Sweep.sw_hits);
-            ("misses", Protocol.Int sw.Explore.Sweep.sw_misses);
+            ("model", Json.String (Core.Model.name d.ds_model));
+            ("cached", Json.Bool cached);
           ];
-      }
-
-(* --- faults ------------------------------------------------------------- *)
-
-let classes_field j =
-  let* raw =
-    Protocol.string_list_field
-      ~default:(List.map Faults.Fault.cls_name Faults.Fault.all_classes)
-      "classes" j
-  in
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      match Faults.Fault.cls_of_name s with
-      | Some c -> Ok (c :: acc)
-      | None ->
-        Error
-          (Printf.sprintf "unknown fault class %S (use %s)" s
-             (String.concat ", "
-                (List.map Faults.Fault.cls_name Faults.Fault.all_classes))))
-    (Ok []) raw
-  |> Result.map List.rev
-
-let ordering_field j =
-  let* name = Protocol.string_field ~default:"sc" "ordering" j in
-  Sim.Memord.policy_of_string name
-
-(* The daemon serves concurrent jobs, so the backend is threaded
-   explicitly per job rather than through the process-wide default the
-   CLI flag sets. *)
-let backend_field j =
-  let* name = Protocol.string_field ~default:"vm" "backend" j in
-  Sim.Runtime.backend_of_string name
-
-let run_faults ~session:_ ~poll (elab : Session.elab) j =
-  let* model = model_field j in
-  let* n_parts = Protocol.int_field ~default:2 "parts" j in
-  let* algo = algo_field j in
-  let* seed = Protocol.int_field ~default:42 "seed" j in
-  let* protocol = protocol_field j in
-  let* harden = Protocol.bool_field ~default:false "harden" j in
-  let assign = assign_field j in
-  let* classes = classes_field j in
-  let* seeds = Protocol.int_field ~default:8 "seeds" j in
-  let* base_seed = Protocol.int_field ~default:1 "base_seed" j in
-  let* deadline = Protocol.float_field "deadline" j in
-  let* ordering = ordering_field j in
-  let* backend = backend_field j in
-  let* json = Protocol.bool_field ~default:false "json" j in
-  if seeds < 1 then Error "seeds must be >= 1"
-  else if classes = [] then Error "classes must be non-empty"
-  else
-    let* () = check_poll poll in
-    let* _part, r =
-      refine_design elab ~n_parts ~algo ~seed ~assign ~protocol ~harden ~model
-    in
-    let* () = check_poll poll in
-    let config =
-      {
-        Faults.Campaign.default_config with
-        Faults.Campaign.cf_seeds = seeds;
-        cf_base_seed = base_seed;
-        cf_classes = classes;
-        cf_deadline_s = deadline;
-        cf_poll = Some poll;
-        cf_ordering = ordering;
-      }
-    in
-    let simulate ~config ~hooks ?ordering p =
-      Sim.Engine.run ~config ~hooks ?ordering ~backend p
-    in
-    match Faults.Campaign.run ~config ~simulate r with
-    | report ->
-      let* () = check_poll poll in
-      let text =
-        if json then Faults.Campaign.to_json report
-        else Faults.Campaign.to_text report
-      in
-      Ok { o_output = text; o_meta = [] }
-    | exception Faults.Campaign.Campaign_error msg ->
-      Error ("fault campaign: " ^ msg)
-
-(* --- litmus ------------------------------------------------------------- *)
-
-let orderings_field j =
-  let* raw =
-    Protocol.string_list_field
-      ~default:[ "sc"; "per-port-fifo"; "relaxed" ]
-      "orderings" j
-  in
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      let* p = Sim.Memord.policy_of_string s in
-      Ok (p :: acc))
-    (Ok []) raw
-  |> Result.map List.rev
-
-(* The litmus job runs the built-in weak-memory shapes — no spec to
-   elaborate — and returns the same deterministic report as the CLI, so
-   a served run replays a [mrefine litmus --json] bit-identically. *)
-let run_litmus ~session:_ ~poll j =
-  let* orderings = orderings_field j in
-  let* shape_names = Protocol.string_list_field ~default:[] "shapes" j in
-  let* seeds = Protocol.int_field ~default:4 "seeds" j in
-  let* faults = Protocol.bool_field ~default:false "faults" j in
-  let* backend = backend_field j in
-  let* json = Protocol.bool_field ~default:false "json" j in
-  if seeds < 1 then Error "seeds must be >= 1"
-  else if orderings = [] then Error "orderings must be non-empty"
-  else
-    let* shapes =
-      match shape_names with
-      | [] -> Ok (Litmus.Shape.all ())
-      | names ->
-        List.fold_left
-          (fun acc n ->
-            let* acc = acc in
-            match Litmus.Shape.find n with
-            | Some s -> Ok (s :: acc)
-            | None ->
-              Error
-                (Printf.sprintf
-                   "unknown litmus shape %S (use sb, mp, lb, co, mem or \
-                    mem-tmr)"
-                   n))
-          (Ok []) names
-        |> Result.map List.rev
-    in
-    let* () = check_poll poll in
-    let rp =
-      Litmus.Suite.run
-        {
-          Litmus.Suite.cf_shapes = shapes;
-          cf_orderings = orderings;
-          cf_seeds = seeds;
-          cf_faults = faults;
-          cf_backend = Some backend;
-        }
-    in
-    let* () = check_poll poll in
-    let text =
-      if json then Litmus.Suite.to_json rp else Litmus.Suite.to_text rp
-    in
-    Ok
-      {
-        o_output = text;
-        o_meta =
-          [
-            ("entries", Protocol.Int (List.length rp.Litmus.Suite.rp_entries));
-            ("weak_allowed", Protocol.Int rp.Litmus.Suite.rp_weak_allowed);
-            ("forbidden", Protocol.Int rp.Litmus.Suite.rp_forbidden);
-            ("corruption", Protocol.Int rp.Litmus.Suite.rp_corruption);
-            ( "kernel_mismatches",
-              Protocol.Int rp.Litmus.Suite.rp_kernel_mismatches );
-          ];
+        o_failed = false;
       }
 
 (* --- dispatch ----------------------------------------------------------- *)
 
+let guard f =
+  try f () with exn -> Error ("job raised " ^ Printexc.to_string exn)
+
 let run ~session ~poll job =
-  match Protocol.string_field "kind" job with
+  let env = { Command.env with e_poll = poll } in
+  match Json.string_field "kind" job with
   | Error msg -> Error msg
-  | Ok "litmus" -> (
+  | Ok "litmus" ->
     (* Litmus runs the built-in shapes: no spec, no elaboration. *)
-    try run_litmus ~session ~poll job
-    with exn ->
-      Error (Printf.sprintf "job raised %s" (Printexc.to_string exn)))
+    guard (fun () ->
+        let* r = litmus_of_json job in
+        Command.litmus env r)
   | Ok kind -> (
-    match Protocol.string_field "spec" job with
-    | Error msg -> Error msg
-    | Ok source -> (
-      match Session.elaborate session ~source with
-      | Error msg -> Error msg
-      | Ok elab -> (
-        let dispatch =
-          match kind with
-          | "refine" -> Some run_refine
-          | "lint" -> Some run_lint
-          | "explore" -> Some run_explore
-          | "faults" -> Some run_faults
-          | _ -> None
-        in
-        match dispatch with
-        | None ->
-          Error
-            (Printf.sprintf
-               "unknown job kind %S (use refine, lint, explore, faults or \
-                litmus)"
-               kind)
-        | Some f -> (
-          try f ~session ~poll elab job
-          with exn ->
-            Error
-              (Printf.sprintf "job raised %s" (Printexc.to_string exn))))))
+    let* source = Json.string_field "spec" job in
+    let* elab = Session.elaborate session ~source in
+    let spec =
+      {
+        Command.sp_program = elab.Session.el_program;
+        sp_locations = elab.Session.el_locations;
+        sp_graph = Lazy.from_val elab.Session.el_graph;
+        sp_ctx = Lazy.from_val elab.Session.el_ctx;
+      }
+    in
+    let env = { env with e_cache = Some (Session.cache session) } in
+    let with_request decode command =
+      guard (fun () ->
+          let* r = decode job in
+          command env spec r)
+    in
+    match kind with
+    | "refine" -> guard (fun () -> run_refine ~session env elab spec job)
+    | "lint" -> with_request lint_of_json Command.lint
+    | "explore" -> with_request explore_of_json Command.explore
+    | "faults" -> with_request faults_of_json Command.faults
+    | _ ->
+      Error
+        (Printf.sprintf
+           "unknown job kind %S (use refine, lint, explore, faults or litmus)"
+           kind))

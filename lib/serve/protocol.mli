@@ -7,15 +7,11 @@
     connection — a malformed line costs one error reply, not the
     session.  Requests never embed raw newlines (the JSON escapes cover
     them), so framing is trivial and torn requests are detected as
-    parse errors.
+    parse errors. *)
 
-    The JSON values here are self-contained: a hand-rolled parser and
-    printer (no external dependency), covering objects, arrays,
-    strings with standard escapes (including [\uXXXX], encoded to
-    UTF-8), integers, floats, booleans and null. *)
-
-(** A JSON document. *)
-type json =
+(** A JSON document: {!Spec.Json.t}, whose parser, printer and field
+    lookup are re-exported below. *)
+type json = Spec.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -25,26 +21,8 @@ type json =
   | Obj of (string * json) list
 
 val parse : string -> (json, string) result
-(** Parse one JSON document (surrounding whitespace allowed; trailing
-    garbage is an error). *)
-
 val to_string : json -> string
-(** Compact one-line rendering; strings are escaped so the result never
-    contains a raw newline. *)
-
-(** {1 Accessors} *)
-
 val member : string -> json -> json option
-(** Field lookup on an object; [None] on missing field or non-object. *)
-
-val string_field : ?default:string -> string -> json -> (string, string) result
-val int_field : ?default:int -> string -> json -> (int, string) result
-val float_field : ?default:float -> string -> json -> (float option, string) result
-val bool_field : ?default:bool -> string -> json -> (bool, string) result
-
-val string_list_field :
-  ?default:string list -> string -> json -> (string list, string) result
-(** A field holding an array of strings (numbers are stringified). *)
 
 (** {1 Requests} *)
 

@@ -279,7 +279,7 @@ let replay t =
           | Some blob -> (
             match Protocol.parse blob with
             | Ok outcome ->
-              (match Protocol.string_field ~default:"failed" "state" outcome with
+              (match Spec.Json.string_field ~default:"failed" "state" outcome with
               | Ok name -> (
                 match Protocol.state_of_name name with
                 | Some s when Protocol.terminal s -> j.j_state <- s
@@ -345,7 +345,7 @@ let create ?journal ?(jobs = 1) ?(max_jobs = 4096) ?(max_pending = 256)
 (* --- client operations -------------------------------------------------- *)
 
 let job_deadline t spec =
-  match Protocol.float_field "job_deadline" spec with
+  match Spec.Json.float_field "job_deadline" spec with
   | Ok (Some d) -> Some d
   | _ -> t.sc_default_deadline
 

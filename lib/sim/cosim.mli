@@ -18,6 +18,7 @@ type trace_mode =
 
 val check :
   ?config:Engine.config ->
+  ?backend:Runtime.backend ->
   ?trace_mode:trace_mode ->
   ?ignore_prefixes:string list ->
   original:Spec.Ast.program ->
@@ -27,7 +28,8 @@ val check :
 (** Run both programs and compare: both must complete, the observable
     traces must agree (under [trace_mode], default [Total]), and the final
     value of every original program variable must survive in the refined
-    design (booleans are decoded from their int<1> bus encoding).
+    design (booleans are decoded from their int<1> bus encoding).  Both
+    runs use [backend] ({!Engine.run}'s default when omitted).
     [ignore_prefixes] drops emit tags with the given prefixes from both
     traces before comparing — hardened refinements emit reserved
     watchdog/recovery markers ([WDG_*], [FLT_*]) with no counterpart in

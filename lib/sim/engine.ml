@@ -682,14 +682,9 @@ let run_internal ~(config : config) ~(hooks : hooks) ~ordering ~backend
     raise e
 
 let run_stats ?(config = default_config) ?(hooks = no_hooks) ?ordering
-    ?backend p =
-  let backend =
-    match backend with Some b -> b | None -> Runtime.default_backend ()
-  in
+    ?(backend = `Bytecode) p =
   run_internal ~config ~hooks ~ordering ~backend p
 
-let run ?(config = default_config) ?(hooks = no_hooks) ?ordering ?backend p =
-  let backend =
-    match backend with Some b -> b | None -> Runtime.default_backend ()
-  in
+let run ?(config = default_config) ?(hooks = no_hooks) ?ordering
+    ?(backend = `Bytecode) p =
   fst (run_internal ~config ~hooks ~ordering ~backend p)

@@ -107,9 +107,9 @@ val run :
     [backend] selects the leaf machine: the bytecode register VM
     ([`Bytecode]) or the retained tree-walking interpreter
     ([`Treewalk]) — observables are bit-identical, the tree-walker exists
-    as the differential oracle.  Omitted, the process-wide
-    {!Runtime.default_backend} applies ([`Bytecode] unless the CLI's
-    [--backend] flag changed it).  Sessions are cached per (program,
+    as the differential oracle; the default is [`Bytecode].  Callers
+    pass the backend explicitly — there is no process-wide default to
+    race on.  Sessions are cached per (program,
     backend), so alternating backends over the same program does not
     thrash the cache.
     @raise Interp.Run_error on dynamic errors (unbound names, type

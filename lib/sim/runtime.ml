@@ -79,16 +79,6 @@ let poll_cancelled hooks =
     which the differential tests enforce. *)
 type backend = [ `Bytecode | `Treewalk ]
 
-(* The process-wide default the kernels fall back to when a caller does
-   not pass [?backend] explicitly.  The CLI's [--backend] flag sets it
-   once at startup so every simulation an invocation performs — cosim
-   gates, fault campaigns, litmus runs — honors one switch; the serve
-   daemon instead threads an explicit backend per job and never touches
-   this. *)
-let default_backend_cell : backend Atomic.t = Atomic.make `Bytecode
-let default_backend () = Atomic.get default_backend_cell
-let set_default_backend b = Atomic.set default_backend_cell b
-
 let backend_of_string = function
   | "vm" | "bytecode" -> Ok `Bytecode
   | "tree" | "treewalk" -> Ok `Treewalk

@@ -63,15 +63,6 @@ val poll_cancelled : hooks -> bool
     observables — the differential tests enforce it. *)
 type backend = [ `Bytecode | `Treewalk ]
 
-val default_backend : unit -> backend
-(** The backend the kernels use when a caller does not pass [?backend]
-    explicitly; [`Bytecode] unless {!set_default_backend} changed it. *)
-
-val set_default_backend : backend -> unit
-(** Set the process-wide default backend.  The CLI's [--backend] flag
-    calls this once at startup; long-lived daemons should thread an
-    explicit backend per job instead of mutating a process global. *)
-
 val backend_of_string : string -> (backend, string) Stdlib.result
 (** Accepts ["vm"]/["bytecode"] and ["tree"]/["treewalk"]. *)
 

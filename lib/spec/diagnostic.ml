@@ -73,32 +73,14 @@ let to_string d =
   end;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json d =
+  let str s = Json.String s in
+  Json.Obj
+    [ ("code", str d.d_code); ("severity", str (severity_name d.d_severity));
+      ("pass", str d.d_pass); ("path", Json.List (List.map str d.d_path));
+      ("loc", str d.d_loc); ("message", str d.d_message) ]
 
-let to_json d =
-  Printf.sprintf
-    "{\"code\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\",\"path\":[%s],\
-     \"loc\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.d_code)
-    (severity_name d.d_severity)
-    (json_escape d.d_pass)
-    (String.concat ","
-       (List.map (fun p -> "\"" ^ json_escape p ^ "\"") d.d_path))
-    (json_escape d.d_loc)
-    (json_escape d.d_message)
+let to_json d = Json.to_string (json d)
 
 let count sev ds =
   List.length (List.filter (fun d -> d.d_severity = sev) ds)

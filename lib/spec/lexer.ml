@@ -58,7 +58,9 @@ let tokenize src =
     else if is_digit c then begin
       let start = !i in
       while !i < n && is_digit src.[!i] do incr i done;
-      emit (INT (int_of_string (String.sub src start (!i - start))))
+      match int_of_string_opt (String.sub src start (!i - start)) with
+      | Some v -> emit (INT v)
+      | None -> raise (Lex_error ("integer literal out of range", !lnum))
     end
     else if c = '"' then begin
       let buf = Buffer.create 16 in

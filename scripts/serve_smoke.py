@@ -8,8 +8,8 @@ and then requires:
 
   - every job converges to a terminal state after the restart
     (idempotent resubmission under client-chosen ids);
-  - every refine and lint result is bit-identical to the cold CLI run
-    of the same parameters;
+  - every refine, lint, lint --fix and faults result is bit-identical
+    to the cold CLI run of the same parameters;
   - every explore job completes at coverage 1.0.
 
 Usage: serve_smoke.py [path/to/mrefine.exe]
@@ -27,6 +27,7 @@ import time
 
 MR = sys.argv[1] if len(sys.argv) > 1 else "_build/default/bin/mrefine.exe"
 SPECS = ["examples/specs/fig1.sc", "examples/specs/fig2.sc"]
+FIXABLE = "test/fixtures/lint_fixable.sc"
 
 WORKDIR = tempfile.mkdtemp(prefix="serve_smoke_")
 SOCK = os.path.join(WORKDIR, "daemon.sock")
@@ -137,6 +138,11 @@ def make_jobs():
             },
             SPECS[i % 2],
         )
+    add(
+        "fix",
+        {"kind": "lint", "spec": spec_text(FIXABLE), "fix": True},
+        FIXABLE,
+    )
     return jobs
 
 
@@ -165,11 +171,19 @@ def cold_refine(spec_path, model, parts, seed):
     ).stdout.decode()
 
 
-def cold_lint(spec_path):
+def cold_lint(spec_path, *flags):
     r = subprocess.run(
-        [MR, "lint", "--json", spec_path], capture_output=True
+        [MR, "lint", *flags, spec_path], capture_output=True
     )
     return r.stdout.decode()
+
+
+def cold_faults(spec_path, model, seeds):
+    return subprocess.run(
+        [MR, "faults", "--json", "-m", model[-1], "--seeds", str(seeds),
+         spec_path],
+        check=True, capture_output=True,
+    ).stdout.decode()
 
 
 def main():
@@ -179,7 +193,8 @@ def main():
           f"({sum(1 for k, *_ in jobs.values() if k == 'refine')} refine, "
           f"{sum(1 for k, *_ in jobs.values() if k == 'lint')} lint, "
           f"{sum(1 for k, *_ in jobs.values() if k == 'explore')} explore, "
-          f"{sum(1 for k, *_ in jobs.values() if k == 'faults')} faults)")
+          f"{sum(1 for k, *_ in jobs.values() if k == 'faults')} faults, "
+          f"{sum(1 for k, *_ in jobs.values() if k == 'fix')} lint --fix)")
 
     # Phase 1: concurrent submits, then SIGKILL mid-load.
     proc = start_daemon()
@@ -232,7 +247,7 @@ def main():
     print(f"all {len(ids)} jobs done after restart "
           f"({replayed} served from the journal)")
 
-    # Byte-identity of served refine/lint results against the cold CLI.
+    # Byte-identity of served results against the cold CLI.
     cli_cache = {}
     checked = 0
     for job_id in ids:
@@ -248,14 +263,28 @@ def main():
         elif kind == "lint":
             key = ("lint", job["file"])
             if key not in cli_cache:
-                cli_cache[key] = cold_lint(job["file"])
+                cli_cache[key] = cold_lint(job["file"], "--json")
             assert outputs[job_id] == cli_cache[key], \
                 f"{job_id}: served lint differs from cold CLI"
+            checked += 1
+        elif kind == "fix":
+            # The served fix reply is the JSON fix report.
+            assert outputs[job_id] == cold_lint(spec_path, "--fix", "--json"), \
+                f"{job_id}: served lint --fix differs from cold CLI"
+            checked += 1
+        elif kind == "faults":
+            key = ("faults", spec_path, job["model"], job["seeds"])
+            if key not in cli_cache:
+                cli_cache[key] = cold_faults(
+                    spec_path, job["model"], job["seeds"])
+            assert outputs[job_id] == cli_cache[key], \
+                f"{job_id}: served faults differs from cold CLI"
             checked += 1
         elif kind == "explore":
             cov = metas[job_id].get("coverage")
             assert cov == 1.0, f"{job_id}: explore coverage {cov} != 1.0"
-    print(f"{checked} refine/lint results bit-identical to the cold CLI; "
+    print(f"{checked} refine/lint/fix/faults results bit-identical to the "
+          f"cold CLI; "
           f"explore jobs at coverage 1.0")
     print("serve smoke ok:", json.dumps(
         {k: stats[k] for k in ("jobs", "done", "batches") if k in stats}))

@@ -44,6 +44,22 @@ let expect_fail args frags =
         true (contains ~sub:frag out))
     frags
 
+(* A rejected input: exit 1 with an [mrefine:] message naming what is
+   wrong.  An uncaught exception would exit 125 with cmdliner's
+   "internal error" instead. *)
+let expect_error args frags =
+  let code, out = run args in
+  if code <> 1 then Alcotest.failf "exit %d, want 1:\n%s" code out;
+  Alcotest.(check bool) "no internal error" false
+    (contains ~sub:"internal error" out);
+  List.iter
+    (fun frag ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error mentions %S" frag)
+        true
+        (contains ~sub:("mrefine: ") out && contains ~sub:frag out))
+    frags
+
 let fig1_assign = "A=0,B=1,C=0,x=1"
 
 let test_parse () =
@@ -247,15 +263,85 @@ let test_demo () =
 
 let test_errors () =
   expect_fail [ "parse"; "/nonexistent.sc" ] [];
+  (* Unreadable files are reported, not raised. *)
+  expect_error [ "parse"; "." ] [ "directory" ];
+  expect_error
+    [ "serve"; "--socket";
+      Filename.concat (Filename.get_temp_dir_name ()) "coref_cli_unused.sock";
+      "--token-file"; "/nonexistent.token" ]
+    [ "/nonexistent.token" ];
   expect_fail
     [ "refine"; spec "fig1.sc"; "--assign"; "A=0" ]
     [ "unassigned" ];
-  expect_fail
+  expect_error
     [ "refine"; spec "fig1.sc"; "--assign"; "A=0,B=9,C=0,x=1" ]
-    [];
+    [ "\"B=9\"" ];
   expect_fail
     [ "cosim"; spec "fig1.sc"; "--assign"; "nope=1" ]
     [ "unknown object" ]
+
+(* Every command that partitions takes the same partition arguments
+   through one constructor, so every bad value is rejected the same way
+   everywhere.  Rows: the arguments and a fragment the message must
+   contain (it names the bad entry). *)
+let partitioning_commands =
+  [ [ "partition" ]; [ "refine" ]; [ "cosim" ]; [ "quality" ];
+    [ "export"; "--refine" ]; [ "faults" ] ]
+
+let bad_partition_args =
+  [
+    ([ "--parts"; "0" ], "parts must be >= 1 (got 0)");
+    ([ "--parts=-2" ], "parts must be >= 1 (got -2)");
+    ([ "--assign"; "INIT=5" ], "\"INIT=5\": partition 5 is out of range");
+    ([ "--assign"; "INIT=-1" ], "\"INIT=-1\": partition -1 is out of range");
+    ([ "--assign"; "INIT=0,INIT=1" ], "\"INIT=1\": INIT is already assigned");
+    ([ "--assign"; "foo=x" ], "\"foo=x\": partition \"x\" is not an integer");
+    ([ "--assign"; "foo=1" ], "\"foo=1\": unknown object foo");
+    ([ "--assign"; "INIT" ], "\"INIT\": want NAME=PARTITION");
+    ([ "--assign"; "INIT=0" ], "unassigned");
+  ]
+
+let test_partition_totality () =
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (args, frag) ->
+          expect_error ((cmd @ [ spec "medical.sc" ]) @ args) [ frag ])
+        bad_partition_args)
+    partitioning_commands;
+  (* explore searches its own partitions but shares the part count. *)
+  expect_error
+    [ "explore"; spec "medical.sc"; "--no-cache"; "--parts"; "0" ]
+    [ "parts must be >= 1 (got 0)" ]
+
+let test_lex_overflow () =
+  let tmp = Filename.temp_file "coref_cli" ".sc" in
+  let oc = open_out tmp in
+  output_string oc
+    "program big is\n  var x : int<8> := 99999999999999999999999;\n\
+     \  behavior TOP : leaf is\n  begin\n    x := 1;\n  end behavior\n\
+     end program\n";
+  close_out oc;
+  expect_error [ "lint"; tmp ] [ "integer literal out of range" ];
+  Sys.remove tmp
+
+(* One --fix policy on the CLI and serve: codes that cannot be fixed and
+   the report-only options are rejected, never silently dropped. *)
+let test_lint_fix_policy () =
+  let fixable = fixture "lint_fixable.sc" in
+  expect_error
+    [ "lint"; "--fix"; fixable; "--code"; "WIDTH001,LIVE004" ]
+    [ "LIVE004"; "not fixable" ];
+  List.iter
+    (fun (args, name) -> expect_error ([ "lint"; "--fix"; fixable ] @ args) [ name ])
+    [
+      ([ "--severity"; "error" ], "--severity");
+      ([ "--phase"; "post" ], "--phase");
+      ([ "--severity-override"; "WIDTH001=off" ], "--severity-override");
+      ([ "--flow" ], "--flow");
+    ];
+  expect_ok [ "lint"; "--fix"; "--json"; fixable; "--code"; "WIDTH001" ]
+    [ {|"changed":true|}; {|"code":"WIDTH001"|} ]
 
 let () =
   Alcotest.run "cli"
@@ -283,5 +369,8 @@ let () =
           tc "lint severity overrides" test_lint_severity_overrides;
           tc "demo" test_demo;
           tc "errors" test_errors;
+          tc "partition argument totality" test_partition_totality;
+          tc "lexer integer overflow" test_lex_overflow;
+          tc "lint --fix option policy" test_lint_fix_policy;
         ] );
     ]

@@ -875,14 +875,17 @@ let test_max_pending_backpressure () =
   let session = Serve.Session.create () in
   (* A tiny admission cap: saturating it must turn submits away with a
      retry hint, and an idempotent resubmit of an admitted id must
-     bypass admission.  The cap is 4 so the queue cannot drain to below
-     it in the microseconds between the saturating and the overflow
-     submit. *)
+     bypass admission.  The jobs are full default sweeps, so the
+     dispatcher cannot drain the queue below the cap between the
+     saturating and the overflow submit however the threads are
+     scheduled (a cached refine finishes in microseconds, and the
+     dispatcher thread may run a whole batch of them in between); they
+     are cancelled before shutdown. *)
   let scheduler = Serve.Scheduler.create ~jobs:1 ~max_pending:4 session in
   let job =
     Serve.Protocol.Obj
-      [ ("kind", Serve.Protocol.String "refine");
-        ("spec", Serve.Protocol.String fig1_src) ]
+      [ ("kind", Serve.Protocol.String "explore");
+        ("spec", Serve.Protocol.String fig2_src) ]
   in
   let rec fill n =
     (* saturate queue + running so depth >= max_pending *)
@@ -907,6 +910,9 @@ let test_max_pending_backpressure () =
   (match Serve.Scheduler.submit scheduler ~id:"f0" job with
   | Ok _ -> ()
   | Error r -> Alcotest.fail r.Serve.Scheduler.rj_reason);
+  for n = 0 to admitted - 1 do
+    ignore (Serve.Scheduler.cancel scheduler (Printf.sprintf "f%d" n))
+  done;
   Serve.Scheduler.shutdown scheduler
 
 (* --- jobs: lint fix field handling -------------------------------------- *)
@@ -950,6 +956,43 @@ let test_lint_fix_fields () =
     Alcotest.(check bool) "reports changed:false" true
       (contains_sub ~sub:"\"changed\":false" o.Serve.Jobs.o_output)
   | Error msg -> Alcotest.fail msg
+
+(* The served partitioning kinds share the CLI's one partition
+   constructor: each bad value is a job error naming the entry, the
+   same rows as the CLI's totality table. *)
+let test_partition_totality_jobs () =
+  let session = Serve.Session.create () in
+  let poll () = false in
+  let medical = Spec.Printer.program_to_string Workloads.Medical.spec in
+  let job kind fields =
+    Serve.Protocol.Obj
+      (("kind", Serve.Protocol.String kind)
+      :: ("spec", Serve.Protocol.String medical)
+      :: fields)
+  in
+  let expect_error kind fields frag =
+    match Serve.Jobs.run ~session ~poll (job kind fields) with
+    | Ok _ -> Alcotest.failf "%s job accepted a bad partition" kind
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s error %S names %S" kind msg frag)
+        true (contains_sub ~sub:frag msg)
+  in
+  let assign a = [ ("assign", Serve.Protocol.String a) ] in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (fields, frag) -> expect_error kind fields frag)
+        [
+          ([ ("parts", Serve.Protocol.Int 0) ], "parts must be >= 1 (got 0)");
+          (assign "INIT=5", "\"INIT=5\": partition 5 is out of range");
+          (assign "INIT=-1", "\"INIT=-1\": partition -1 is out of range");
+          (assign "INIT=0,INIT=1", "\"INIT=1\": INIT is already assigned");
+          (assign "foo=x", "\"foo=x\": partition \"x\" is not an integer");
+        ])
+    [ "refine"; "faults" ];
+  expect_error "explore" [ ("parts", Serve.Protocol.Int 0) ]
+    "parts must be >= 1 (got 0)"
 
 (* --- session ------------------------------------------------------------ *)
 
@@ -1057,6 +1100,8 @@ let () =
         [
           Alcotest.test_case "lint fix field handling" `Quick
             test_lint_fix_fields;
+          Alcotest.test_case "partition argument totality" `Quick
+            test_partition_totality_jobs;
         ] );
       ( "session",
         [

@@ -349,7 +349,10 @@ let test_lexer_errors () =
   Alcotest.check_raises "illegal char" (Lexer.Lex_error ("illegal character '@'", 1))
     (fun () -> ignore (Lexer.tokenize "@"));
   Alcotest.check_raises "unterminated" (Lexer.Lex_error ("unterminated string", 1))
-    (fun () -> ignore (Lexer.tokenize "\"abc"))
+    (fun () -> ignore (Lexer.tokenize "\"abc"));
+  Alcotest.check_raises "integer overflow"
+    (Lexer.Lex_error ("integer literal out of range", 2))
+    (fun () -> ignore (Lexer.tokenize "x :=\n99999999999999999999999"))
 
 let test_lexer_two_char_ops () =
   let kinds src = List.map (fun t -> t.Lexer.tok) (Lexer.tokenize src) in
