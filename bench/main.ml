@@ -176,8 +176,9 @@ let figure10 () =
         (fun m ->
           let refined = Core.Refiner.refine spec graph d.Designs.d_partition m in
           Printf.printf "  %s=%.1fx" (Core.Model.name m)
-            (Core.Metrics.growth ~original:spec
-               ~refined:refined.Core.Refiner.rf_program))
+            (Core.Metrics.growth ~original:original_lines
+               ~refined:
+                 (Spec.Printer.line_count refined.Core.Refiner.rf_program)))
         Core.Model.all;
       print_newline ())
     Designs.all

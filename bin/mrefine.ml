@@ -299,8 +299,9 @@ let cosim_cmd =
       if design.ds_harden then Core.Protocol.reserved_tag_prefixes else []
     in
     let v =
-      Sim.Cosim.check ~backend ~ignore_prefixes ~original:spec.sp_program
-        ~refined:r.Core.Refiner.rf_program ()
+      Sim.Cosim.check ~backend ~ignore_prefixes
+        ~trace_mode:(Sim.Cosim.trace_mode_of spec.sp_program)
+        ~original:spec.sp_program ~refined:r.Core.Refiner.rf_program ()
     in
     if v.Sim.Cosim.v_equivalent then begin
       Printf.printf

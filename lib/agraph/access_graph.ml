@@ -29,29 +29,36 @@ let default_objects (p : Ast.program) =
        (fun acc b -> if Behavior.is_leaf b then b.Ast.b_name :: acc else acc)
        [] p.Ast.p_top)
 
-let subtree_names p name =
-  match Program.lookup_behavior p name with
+let subtree_names ix name =
+  match Index.behavior ix name with
   | None -> invalid_arg (Printf.sprintf "unknown object behavior %s" name)
   | Some b -> Behavior.names b
 
-let check_objects p objects =
-  let subtrees = List.map (fun o -> (o, subtree_names p o)) objects in
+(* No object may sit inside another object's subtree.  Reports the first
+   offending pair in object order (outer, then inner). *)
+let check_objects subtrees =
+  let is_object = Hashtbl.create 64 in
+  List.iter (fun (o, _) -> Hashtbl.replace is_object o ()) subtrees;
   List.iter
     (fun (o, names) ->
+      let nested = Hashtbl.create 8 in
       List.iter
-        (fun (o', names') ->
-          if (not (String.equal o o')) && List.mem o' names then
-            invalid_arg
-              (Printf.sprintf "object %s is nested inside object %s" o' o)
-          else ignore names')
-        subtrees)
+        (fun n ->
+          if (not (String.equal n o)) && Hashtbl.mem is_object n then
+            Hashtbl.replace nested n ())
+        names;
+      match List.find_opt (fun (o', _) -> Hashtbl.mem nested o') subtrees with
+      | Some (o', _) ->
+        invalid_arg
+          (Printf.sprintf "object %s is nested inside object %s" o' o)
+      | None -> ())
     subtrees
 
 let control_edges_of (p : Ast.program) =
+  (* One edge list per sequential composition, in reverse preorder. *)
   let edges_of acc b =
     match b.Ast.b_body with
     | Ast.Seq arms ->
-      let arm_names = List.map (fun a -> a.Ast.a_behavior.Ast.b_name) arms in
       let explicit =
         List.concat_map
           (fun a ->
@@ -86,31 +93,35 @@ let control_edges_of (p : Ast.program) =
           arc @ fallthrough rest
         | [ _ ] | [] -> []
       in
-      ignore arm_names;
-      acc @ explicit @ fallthrough arms
+      (explicit @ fallthrough arms) :: acc
     | Ast.Leaf _ | Ast.Par _ -> acc
   in
-  Behavior.fold edges_of [] p.Ast.p_top
+  List.concat (List.rev (Behavior.fold edges_of [] p.Ast.p_top))
 
 let of_program ?while_iterations ?objects (p : Ast.program) =
   let objects =
     match objects with Some o -> o | None -> default_objects p
   in
-  check_objects p objects;
-  let per_behavior = Analysis.behavior_accesses ?while_iterations p in
+  let ix = Index.of_program p in
+  let subtrees = List.map (fun o -> (o, subtree_names ix o)) objects in
+  check_objects subtrees;
+  let per_behavior = Hashtbl.create 64 in
+  List.iter
+    (fun (n, accs) ->
+      if not (Hashtbl.mem per_behavior n) then Hashtbl.add per_behavior n accs)
+    (Analysis.behavior_accesses ?while_iterations p);
   let var_width x =
-    match Program.lookup_var p x with
+    match Index.var ix x with
     | Some v -> Ast.ty_width v.Ast.v_ty
     | None -> 0
   in
   let data =
     List.concat_map
-      (fun obj ->
-        let names = subtree_names p obj in
+      (fun (obj, names) ->
         let raw =
           List.concat_map
             (fun n ->
-              match List.assoc_opt n per_behavior with
+              match Hashtbl.find_opt per_behavior n with
               | Some accs -> accs
               | None -> [])
             names
@@ -142,7 +153,7 @@ let of_program ?while_iterations ?objects (p : Ast.program) =
               de_bits = var_width v;
             })
           !order)
-      objects
+      subtrees
   in
   {
     g_objects = objects;

@@ -291,23 +291,22 @@ let with_journal env meta f =
            ~finally:(fun () -> Checkpoint.Journal.close j)
            (fun () -> f (Some j))))
 
-let refine_report p (d : design) (r : Core.Refiner.t) =
+let refine_report ~original_lines ~refined_lines (d : design)
+    (r : Core.Refiner.t) =
   let bus (b : Core.Refiner.bus_inst) =
     Printf.sprintf "%s(%d masters%s)"
       b.Core.Refiner.bi_signals.Core.Protocol.bs_label
       (List.length b.Core.Refiner.bi_requesters)
       (if b.Core.Refiner.bi_arbiter = None then "" else ", arbitrated")
   in
-  let refined = r.Core.Refiner.rf_program in
   [
     "model: " ^ Core.Model.name d.ds_model;
     "buses: " ^ String.concat ", " (List.map bus r.Core.Refiner.rf_buses);
     "memories: " ^ String.concat ", " r.Core.Refiner.rf_memories;
     "moved behaviors: " ^ String.concat ", " r.Core.Refiner.rf_moved;
-    Printf.sprintf "size: %d -> %d lines (%.1fx)"
-      (Spec.Printer.line_count p)
-      (Spec.Printer.line_count refined)
-      (Core.Metrics.growth ~original:p ~refined);
+    Printf.sprintf "size: %d -> %d lines (%.1fx)" original_lines
+      refined_lines
+      (Core.Metrics.growth ~original:original_lines ~refined:refined_lines);
   ]
 
 let refine env spec d =
@@ -318,11 +317,14 @@ let refine env spec d =
     | Ok () -> Ok ()
     | Error msgs -> Error ("check failed: " ^ String.concat "; " msgs)
   in
-  note env (fun () -> refine_report p d r);
+  let text = Spec.Printer.program_to_string r.Core.Refiner.rf_program in
+  note env (fun () ->
+      refine_report ~original_lines:(Spec.Printer.line_count p)
+        ~refined_lines:(Spec.Printer.count_lines text) d r);
   Ok
     (outcome
        ~meta:[ ("model", Spec.Json.String (Core.Model.name d.ds_model)) ]
-       (Spec.Printer.program_to_string r.Core.Refiner.rf_program))
+       text)
 
 type target = {
   tg_name : string;

@@ -7,7 +7,7 @@
 open Spec
 
 type t = {
-  addr_of : (string * int) list;
+  addr_of : (string, int) Hashtbl.t;
   addr_width : int;  (** width of every address bus *)
   data_width : int;  (** width of every data bus: the widest variable *)
 }
@@ -22,12 +22,15 @@ let slots_of (v : Ast.var_decl) =
 
 let build (p : Ast.program) =
   let vars = p.Ast.p_vars in
-  let addr_of, total =
+  let addr_of = Hashtbl.create (List.length vars) in
+  let total =
     List.fold_left
-      (fun (acc, next) v -> ((v.Ast.v_name, next) :: acc, next + slots_of v))
-      ([], 0) vars
+      (fun next v ->
+        if not (Hashtbl.mem addr_of v.Ast.v_name) then
+          Hashtbl.add addr_of v.Ast.v_name next;
+        next + slots_of v)
+      0 vars
   in
-  let addr_of = List.rev addr_of in
   let addr_width = max 1 (log2_ceil (max 1 total)) in
   let data_width =
     List.fold_left (fun acc v -> max acc (Ast.ty_width v.Ast.v_ty)) 1 vars
@@ -35,8 +38,6 @@ let build (p : Ast.program) =
   { addr_of; addr_width; data_width }
 
 let address t v =
-  match List.assoc_opt v t.addr_of with
+  match Hashtbl.find_opt t.addr_of v with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Address.address: unknown variable %s" v)
-
-let variables t = List.map fst t.addr_of

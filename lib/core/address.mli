@@ -5,7 +5,7 @@
     declaration order. *)
 
 type t = {
-  addr_of : (string * int) list;
+  addr_of : (string, int) Hashtbl.t;  (** base address by variable *)
   addr_width : int;  (** width of every address bus (>= 1) *)
   data_width : int;  (** width of every data bus: the widest variable *)
 }
@@ -15,6 +15,3 @@ val build : Spec.Ast.program -> t
 val address : t -> string -> int
 (** Base address of the variable (arrays: address of element 0).
     @raise Invalid_argument for a name that is not a program variable. *)
-
-val variables : t -> string list
-(** In address order. *)

@@ -22,6 +22,7 @@ type t = {
   bp_parts : int;
   bp_buses : bus list;
   bp_memory_of : (string * memory_id) list;
+  bp_memory_index : (string, memory_id) Hashtbl.t;
 }
 
 let equal_role (a : bus_role) (b : bus_role) = a = b
@@ -52,11 +53,15 @@ let bpart part b =
    partition must live in a globally reachable memory. *)
 let memory_assignment ?(extra_readers = []) model g part =
   let report = Partitioning.Classify.report g part in
+  let globals = Hashtbl.create 64 and readers = Hashtbl.create 16 in
+  List.iter
+    (fun v -> Hashtbl.replace globals v ())
+    report.Partitioning.Classify.globals;
+  List.iter (fun (v, reader) -> Hashtbl.add readers v reader) extra_readers;
   let is_global v =
-    List.mem v report.Partitioning.Classify.globals
-    || List.exists
-         (fun (v', reader) -> String.equal v v' && reader <> home part v)
-         extra_readers
+    Hashtbl.mem globals v
+    || List.exists (fun reader -> reader <> home part v)
+         (Hashtbl.find_all readers v)
   in
   List.map
     (fun v ->
@@ -107,10 +112,17 @@ let bus_roles model p =
     | [] -> chain
     end
 
+let index_of memory_of =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (v, m) -> if not (Hashtbl.mem tbl v) then Hashtbl.add tbl v m)
+    memory_of;
+  tbl
+
 (* The buses one data edge traverses. *)
-let edge_buses part memory_of (e : Access_graph.data_edge) =
+let edge_buses part memory_index (e : Access_graph.data_edge) =
   let master = bpart part e.Access_graph.de_behavior in
-  match List.assoc e.Access_graph.de_variable memory_of with
+  match Hashtbl.find memory_index e.Access_graph.de_variable with
   | Gmem -> [ Shared_global ]
   | Gmem_part mem -> [ Dedicated { master; mem } ]
   | Lmem h ->
@@ -127,22 +139,29 @@ let build ?extra_readers model g part =
   end;
   let p = Partitioning.Partition.n_parts part in
   let memory_of = memory_assignment ?extra_readers model g part in
+  let memory_index = index_of memory_of in
   let roles = bus_roles model p in
+  let edge_roles =
+    List.map
+      (fun e -> (e, edge_buses part memory_index e))
+      g.Access_graph.g_data
+  in
   let buses =
     List.map
       (fun role ->
         let edges =
-          List.filter
-            (fun e ->
-              List.exists (equal_role role) (edge_buses part memory_of e))
-            g.Access_graph.g_data
+          List.filter_map
+            (fun (e, rs) ->
+              if List.exists (equal_role role) rs then Some e else None)
+            edge_roles
         in
         { bus_role = role; bus_edges = edges })
       roles
   in
-  { bp_model = model; bp_parts = p; bp_buses = buses; bp_memory_of = memory_of }
+  { bp_model = model; bp_parts = p; bp_buses = buses; bp_memory_of = memory_of;
+    bp_memory_index = memory_index }
 
-let memory_of t v = List.assoc v t.bp_memory_of
+let memory_of t v = Hashtbl.find t.bp_memory_index v
 
 let vars_of_memory t mem =
   List.filter_map

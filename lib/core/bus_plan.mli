@@ -39,6 +39,8 @@ type t = {
   bp_buses : bus list;
   bp_memory_of : (string * memory_id) list;
       (** memory assignment of every program variable *)
+  bp_memory_index : (string, memory_id) Hashtbl.t;
+      (** [bp_memory_of] by variable, for {!memory_of} *)
 }
 
 val build :

@@ -61,13 +61,12 @@ let check_bus_bound (r : Refiner.t) acc =
   else acc
 
 (* Every generated server must exist and be registered. *)
-let check_servers (r : Refiner.t) acc =
-  let prog = r.Refiner.rf_program in
+let check_servers refined (r : Refiner.t) acc =
   List.fold_left
     (fun acc name ->
-      match Program.lookup_behavior prog name with
+      match Index.behavior refined name with
       | Some _ ->
-        if Program.is_server prog name then acc
+        if Index.is_server refined name then acc
         else
           diag ~code:"REF003" ~loc:name "check"
             "generated behavior %s is not a server" name
@@ -82,26 +81,29 @@ let check_servers (r : Refiner.t) acc =
    partitioned variable by name (they were all renamed to tmps or routed
    through protocols); memory behaviors hold the storage and are the only
    legal place for those names. *)
-let check_no_direct_access (original : Ast.program) (r : Refiner.t) acc =
-  let program_vars = Program.var_names original in
-  let memory_scope =
-    List.concat_map
-      (fun m ->
-        match Program.lookup_behavior r.Refiner.rf_program m with
-        | Some b -> Behavior.names b
-        | None -> [])
-      r.Refiner.rf_memories
-  in
+let check_no_direct_access (original : Ast.program) refined (r : Refiner.t)
+    acc =
+  let original = Index.of_program original in
+  let memory_scope = Hashtbl.create 64 in
+  List.iter
+    (fun m ->
+      match Index.behavior refined m with
+      | Some b ->
+        List.iter
+          (fun n -> Hashtbl.replace memory_scope n ())
+          (Behavior.names b)
+      | None -> ())
+    r.Refiner.rf_memories;
   Behavior.fold
     (fun acc b ->
-      if List.mem b.Ast.b_name memory_scope then acc
+      if Hashtbl.mem memory_scope b.Ast.b_name then acc
       else
         match b.Ast.b_body with
         | Ast.Leaf stmts ->
           let touched =
             List.filter
               (fun x ->
-                List.mem x program_vars
+                Index.is_var original x
                 && not
                      (List.exists
                         (fun v -> String.equal v.Ast.v_name x)
@@ -123,8 +125,9 @@ let diagnostics ~original (r : Refiner.t) : Diagnostic.t list =
   let acc = check_no_program_vars r acc in
   let acc = check_arbiters r acc in
   let acc = check_bus_bound r acc in
-  let acc = check_servers r acc in
-  let acc = check_no_direct_access original r acc in
+  let refined = Index.of_program r.Refiner.rf_program in
+  let acc = check_servers refined r acc in
+  let acc = check_no_direct_access original refined r acc in
   let acc =
     match Program.validate r.Refiner.rf_program with
     | Ok () -> acc

@@ -151,11 +151,13 @@ let nonleaf_scheme ~naming ?harden ~new_name ~start ~done_ inner =
       Behavior.arm fin_leaf ~transitions:[ Builder.goto wait_name ];
     ]
 
+(* [renames]: old arm name -> new arm name; the first rename of a name
+   wins. *)
 let retarget renames t =
   match t.t_target with
   | Complete -> t
   | Goto name ->
-    begin match List.assoc_opt name renames with
+    begin match Hashtbl.find_opt renames name with
     | Some name' -> { t with t_target = Goto name' }
     | None -> t
     end
@@ -213,13 +215,15 @@ let run ~naming ?(force_nonleaf = false) ?harden ~is_object ~home_of_object
               (a, b'))
             arms
         in
-        let renames =
-          List.filter_map
-            (fun (a, b') ->
-              if String.equal a.a_behavior.b_name b'.b_name then None
-              else Some (a.a_behavior.b_name, b'.b_name))
-            refined
-        in
+        let renames = Hashtbl.create 16 in
+        List.iter
+          (fun (a, b') ->
+            let old = a.a_behavior.b_name in
+            if
+              (not (String.equal old b'.b_name))
+              && not (Hashtbl.mem renames old)
+            then Hashtbl.add renames old b'.b_name)
+          refined;
         let arms' =
           List.map
             (fun (a, b') ->

@@ -13,9 +13,9 @@ type t = {
 
 val of_program : Spec.Ast.program -> t
 
-val growth : original:Spec.Ast.program -> refined:Spec.Ast.program -> float
-(** Refined-over-original line ratio — the paper reports 11-19x for the
-    medical system and argues a ~10x productivity gain from automatic
-    refinement. *)
+val growth : original:int -> refined:int -> float
+(** Refined-over-original ratio of line counts ({!Spec.Printer.line_count})
+    — the paper reports 11-19x for the medical system and argues a ~10x
+    productivity gain from automatic refinement. *)
 
 val pp : Format.formatter -> t -> unit

@@ -3,11 +3,15 @@
     [B_start], [B_done], [tmp], [Memory], …) and uniquified against every
     name already present in the specification. *)
 
-module Sset = Set.Make (String)
+(* [next] remembers, per base, the suffix after the last one [fresh]
+   returned: names are never released, so no smaller suffix can have
+   become free since. *)
+type t = { used : (string, unit) Hashtbl.t; next : (string, int) Hashtbl.t }
 
-type t = { mutable used : Sset.t }
-
-let of_names names = { used = Sset.of_list names }
+let of_names names =
+  let used = Hashtbl.create (max 64 (List.length names)) in
+  List.iter (fun n -> Hashtbl.replace used n ()) names;
+  { used; next = Hashtbl.create 64 }
 
 (** All names occurring in a program: behaviors, variables (program-level
     and local), signals, procedures, parameters. *)
@@ -35,21 +39,24 @@ let of_program (p : Spec.Ast.program) =
     The returned name is recorded as used. *)
 let fresh t base =
   let name =
-    if not (Sset.mem base t.used) then base
+    if not (Hashtbl.mem t.used base) then base
     else
       let rec go i =
         let candidate = Printf.sprintf "%s_%d" base i in
-        if Sset.mem candidate t.used then go (i + 1) else candidate
+        if Hashtbl.mem t.used candidate then go (i + 1)
+        else begin
+          Hashtbl.replace t.next base (i + 1);
+          candidate
+        end
       in
-      go 2
+      go (Option.value (Hashtbl.find_opt t.next base) ~default:2)
   in
-  t.used <- Sset.add name t.used;
+  Hashtbl.replace t.used name ();
   name
 
 (** Reserve an externally chosen name (no-op if already used). *)
-let reserve t name = t.used <- Sset.add name t.used
-
-let is_used t name = Sset.mem name t.used
+let reserve t name = Hashtbl.replace t.used name ()
+let is_used t name = Hashtbl.mem t.used name
 
 (* Conventional derived names (paper, Section 4). *)
 let ctrl t base = fresh t (base ^ "_CTRL")

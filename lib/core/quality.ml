@@ -121,11 +121,11 @@ let pins_of (r : Refiner.t) ~partition ~moved_pairs =
 
 let of_refinement ~alloc (r : Refiner.t) =
   let prog = r.Refiner.rf_program in
+  let ix = Index.of_program prog in
   let n_parts = r.Refiner.rf_plan.Bus_plan.bp_parts in
   let behaviors_of partition =
     List.filter_map
-      (fun (name, p) ->
-        if p = partition then Program.lookup_behavior prog name else None)
+      (fun (name, p) -> if p = partition then Index.behavior ix name else None)
       r.Refiner.rf_processes
   in
   let components =
@@ -137,7 +137,7 @@ let of_refinement ~alloc (r : Refiner.t) =
           List.fold_left
             (fun acc b ->
               acc
-              +. Estimate.Lifetime.behavior_seconds prog comp b.b_name)
+              +. Estimate.Lifetime.seconds comp b)
             0.0 processes
         in
         let moved_pairs =

@@ -61,26 +61,33 @@ type process = {
    siblings' and need their own bus grant.  TOC-condition reads belong to
    the region of the enclosing sequential composition.  Local
    declarations shadow partitioned variables for their subtree. *)
-let regions_of program_vars (root : behavior) =
+let regions_of ~is_var (root : behavior) =
   let tbl = Hashtbl.create 8 in
   let order = ref [] in
+  (* Per region: its variables in reverse first-access order, and the
+     same as a set. *)
   let ensure region =
     match Hashtbl.find_opt tbl region with
     | Some cell -> cell
     | None ->
-      let cell = ref [] in
+      let cell = (ref [], Hashtbl.create 16) in
       Hashtbl.add tbl region cell;
       order := region :: !order;
       cell
   in
   let note region shadowed x =
-    if List.mem x program_vars && not (List.mem x shadowed) then begin
-      let cell = ensure region in
-      if not (List.mem x !cell) then cell := x :: !cell
+    if is_var x && not (Scope.mem x shadowed) then begin
+      let vars, seen = ensure region in
+      if not (Hashtbl.mem seen x) then begin
+        Hashtbl.add seen x ();
+        vars := x :: !vars
+      end
     end
   in
   let rec walk region shadowed b =
-    let shadowed = List.map (fun v -> v.v_name) b.b_vars @ shadowed in
+    let shadowed =
+      Scope.push_names (List.map (fun v -> v.v_name) b.b_vars) shadowed
+    in
     ignore (ensure region);
     match b.b_body with
     | Leaf stmts ->
@@ -99,15 +106,14 @@ let regions_of program_vars (root : behavior) =
         arms
     | Par children -> List.iter (fun c -> walk c.b_name shadowed c) children
   in
-  walk root.b_name [] root;
-  List.rev_map (fun r -> (r, List.rev !(Hashtbl.find tbl r))) !order
+  walk root.b_name Scope.empty root;
+  List.rev_map (fun r -> (r, List.rev !(fst (Hashtbl.find tbl r)))) !order
 
 (* Reject specifications whose user procedures touch partitioned
    variables: the procedure body is shared between call sites that may
    live on different components, so there is no single bus to route the
    access through. *)
-let check_procs p =
-  let program_vars = Program.var_names p in
+let check_procs ix p =
   List.iter
     (fun pr ->
       let local_names =
@@ -116,7 +122,7 @@ let check_procs p =
       in
       let touched =
         List.filter
-          (fun x -> List.mem x program_vars && not (List.mem x local_names))
+          (fun x -> Index.is_var ix x && not (List.mem x local_names))
           (Stmt.reads pr.prc_body @ Stmt.writes pr.prc_body)
       in
       match touched with
@@ -132,28 +138,32 @@ let refine ?(options = default_options) p g part model =
   | Error msgs ->
     refine_error "input specification is invalid: %s" (String.concat "; " msgs)
   end;
-  check_procs p;
-  let program_vars0 = Program.var_names p in
+  let ix = Index.of_program p in
+  check_procs ix p;
+  let objects = Hashtbl.create 64 in
+  List.iter
+    (fun o -> Hashtbl.replace objects o ())
+    g.Agraph.Access_graph.g_objects;
+  let is_object name = Hashtbl.mem objects name in
+  let home_of_object name =
+    match Partitioning.Partition.part_of_behavior part name with
+    | Some i -> i
+    | None -> refine_error "object behavior %s is not assigned" name
+  in
   (* TOC conditions are re-evaluated by the home partition of their
      sequential composition (that is where the refined loader runs); when
      that differs from a variable's home, the variable must live in a
      globally reachable memory, so the bus plan is told about these extra
      readers. *)
-  let is_object0 name = List.mem name g.Agraph.Access_graph.g_objects in
-  let home_of_object0 name =
-    match Partitioning.Partition.part_of_behavior part name with
-    | Some i -> i
-    | None -> refine_error "object behavior %s is not assigned" name
-  in
   let extra_readers =
     let acc = ref [] in
     let rec walk shadowed b =
-      let shadowed = List.map (fun v -> v.v_name) b.b_vars @ shadowed in
+      let shadowed =
+        Scope.push_names (List.map (fun v -> v.v_name) b.b_vars) shadowed
+      in
       begin match b.b_body with
       | Seq arms ->
-        let reader =
-          Control_refine.home ~is_object:is_object0 ~home_of:home_of_object0 b
-        in
+        let reader = Control_refine.home ~is_object ~home_of:home_of_object b in
         begin match reader with
         | None -> ()
         | Some reader ->
@@ -165,9 +175,7 @@ let refine ?(options = default_options) p g part model =
                   | Some c ->
                     List.iter
                       (fun x ->
-                        if
-                          List.mem x program_vars0
-                          && not (List.mem x shadowed)
+                        if Index.is_var ix x && not (Scope.mem x shadowed)
                         then acc := (x, reader) :: !acc)
                       (Expr.refs c)
                   | None -> ())
@@ -178,13 +186,12 @@ let refine ?(options = default_options) p g part model =
       end;
       List.iter (walk shadowed) (Behavior.children b)
     in
-    walk [] p.p_top;
+    walk Scope.empty p.p_top;
     List.sort_uniq compare !acc
   in
   let plan = Bus_plan.build ~extra_readers model g part in
   let address = Address.build p in
   let naming = Naming.of_program p in
-  let program_vars = Program.var_names p in
   let n_parts = Partitioning.Partition.n_parts part in
   let hcfg =
     if options.harden then
@@ -198,12 +205,6 @@ let refine ?(options = default_options) p g part model =
   in
 
   (* 1. Control-related refinement: distribute the behavior tree. *)
-  let is_object name = List.mem name g.Agraph.Access_graph.g_objects in
-  let home_of_object name =
-    match Partitioning.Partition.part_of_behavior part name with
-    | Some i -> i
-    | None -> refine_error "object behavior %s is not assigned" name
-  in
   let ctrl =
     Control_refine.run ~naming ~force_nonleaf:options.force_nonleaf
       ?harden:hcfg ~is_object ~home_of_object p.p_top
@@ -242,7 +243,7 @@ let refine ?(options = default_options) p g part model =
                     Bus_plan.bus_of_access plan ~master:ps.ps_partition
                       ~variable:v ))
                 vars ))
-          (regions_of program_vars ps.ps_behavior))
+          (regions_of ~is_var:(Index.is_var ix) ps.ps_behavior))
       processes
   in
   let masters_of role =
@@ -334,21 +335,36 @@ let refine ?(options = default_options) p g part model =
       refine_error "internal: bus %s was not instantiated"
         (Bus_plan.role_label role)
   in
+  (* (bus label, master) -> its requester on an arbitrated bus. *)
+  let requesters = Hashtbl.create 64 in
+  List.iter
+    (fun bi ->
+      Option.iter
+        (fun arb ->
+          List.iter
+            (fun (name, i) ->
+              let key = (bi.bi_signals.Protocol.bs_label, name) in
+              if not (Hashtbl.mem requesters key) then
+                Hashtbl.add requesters key (Arbiter.requester arb i))
+            bi.bi_requesters)
+        bi.bi_arbiter)
+    buses;
   let requester_for bi name =
     match bi.bi_arbiter with
     | None -> None
-    | Some arb ->
-      begin match List.assoc_opt name bi.bi_requesters with
-      | Some i -> Some (Arbiter.requester arb i)
+    | Some _ ->
+      let label = bi.bi_signals.Protocol.bs_label in
+      begin match Hashtbl.find_opt requesters (label, name) with
+      | Some r -> Some r
       | None ->
         refine_error "internal: process %s is not a master of bus %s" name
-          bi.bi_signals.Protocol.bs_label
+          label
       end
   in
 
   (* 4. Data-related refinement of every process. *)
   let ty_of v =
-    match Program.lookup_var p v with
+    match Index.var ix v with
     | Some d -> d.v_ty
     | None -> refine_error "internal: unknown variable %s" v
   in
@@ -356,7 +372,7 @@ let refine ?(options = default_options) p g part model =
     let ctx =
       {
         Data_refine.dr_naming = naming;
-        dr_is_program_var = (fun x -> List.mem x program_vars);
+        dr_is_program_var = Index.is_var ix;
         dr_ty_of = ty_of;
         dr_addr_of = (fun v -> Address.address address v);
         dr_bus_of =
@@ -385,7 +401,7 @@ let refine ?(options = default_options) p g part model =
   (* 5. Memories.  Boolean variables are stored bus-encoded (int<1>,
      1/0), matching the integer data bus the masters use. *)
   let decl_of v =
-    match Program.lookup_var p v with
+    match Index.var ix v with
     | Some d ->
       begin match d.v_ty with
       | TBool ->

@@ -20,23 +20,28 @@ let rec behavior_cycles ?config comp (b : Ast.behavior) =
       (fun acc c -> max acc (behavior_cycles ?config comp c))
       0.0 children
 
-(** Lifetime in seconds of the named behavior on the given component.  A
-    floor of one cycle avoids zero lifetimes for empty behaviors. *)
-let behavior_seconds ?config (p : Ast.program) comp name =
-  match Program.lookup_behavior p name with
+(** Lifetime in seconds of a behavior on the given component.  A floor of
+    one cycle avoids zero lifetimes for empty behaviors. *)
+let seconds ?config comp b =
+  let cycles = max 1.0 (behavior_cycles ?config comp b) in
+  let mhz = Arch.Component.clock_mhz comp in
+  if mhz <= 0.0 then
+    invalid_arg
+      (Printf.sprintf "Lifetime: component %s has no clock"
+         comp.Arch.Component.c_name)
+  else cycles /. (mhz *. 1e6)
+
+let find ix name =
+  match Index.behavior ix name with
   | None -> invalid_arg (Printf.sprintf "Lifetime: unknown behavior %s" name)
-  | Some b ->
-    let cycles = max 1.0 (behavior_cycles ?config comp b) in
-    let mhz = Arch.Component.clock_mhz comp in
-    if mhz <= 0.0 then
-      invalid_arg
-        (Printf.sprintf "Lifetime: component %s has no clock"
-           comp.Arch.Component.c_name)
-    else cycles /. (mhz *. 1e6)
+  | Some b -> b
+
+let behavior_seconds ?config (p : Ast.program) comp name =
+  seconds ?config comp (find (Index.of_program p) name)
 
 (** Lifetime of a partitioned behavior: looked up through the partition
     and the allocation. *)
-let partitioned_behavior_seconds ?config p alloc part name =
+let partitioned_behavior_seconds ?config ix alloc part name =
   match Partitioning.Partition.part_of_behavior part name with
   | None -> invalid_arg (Printf.sprintf "Lifetime: behavior %s unassigned" name)
-  | Some i -> behavior_seconds ?config p (Arch.Allocation.component alloc i) name
+  | Some i -> seconds ?config (Arch.Allocation.component alloc i) (find ix name)

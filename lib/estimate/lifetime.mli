@@ -8,6 +8,12 @@ val behavior_cycles :
     sequential compositions sum their arms, parallel compositions take the
     slowest child. *)
 
+val seconds :
+  ?config:Cost_model.config -> Arch.Component.t -> Spec.Ast.behavior -> float
+(** Lifetime in seconds of a behavior on the given component, floored at
+    one clock cycle.
+    @raise Invalid_argument on a clockless component. *)
+
 val behavior_seconds :
   ?config:Cost_model.config ->
   Spec.Ast.program ->
@@ -21,10 +27,10 @@ val behavior_seconds :
 
 val partitioned_behavior_seconds :
   ?config:Cost_model.config ->
-  Spec.Ast.program ->
+  Spec.Index.t ->
   Arch.Allocation.t ->
   Partitioning.Partition.t ->
   string ->
   float
-(** Lifetime of a partitioned behavior on the component its partition maps
-    to. *)
+(** Lifetime of a partitioned behavior, found through the program's
+    index, on the component its partition maps to. *)

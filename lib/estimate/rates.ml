@@ -10,18 +10,19 @@ open Agraph
 
 type env = {
   program : Spec.Ast.program;
+  index : Spec.Index.t;
   alloc : Arch.Allocation.t;
   part : Partitioning.Partition.t;
   config : Cost_model.config;
 }
 
 let make_env ?(config = Cost_model.default_config) program alloc part =
-  { program; alloc; part; config }
+  { program; index = Spec.Index.of_program program; alloc; part; config }
 
 (** Transfer rate of one data channel in Mbit/s. *)
 let channel_rate_mbps env (e : Access_graph.data_edge) =
   let lifetime =
-    Lifetime.partitioned_behavior_seconds ~config:env.config env.program
+    Lifetime.partitioned_behavior_seconds ~config:env.config env.index
       env.alloc env.part e.Access_graph.de_behavior
   in
   let bits = float_of_int (Access_graph.edge_bits e) in

@@ -9,6 +9,7 @@
 
 type env = {
   program : Spec.Ast.program;
+  index : Spec.Index.t;  (** of [program] *)
   alloc : Arch.Allocation.t;
   part : Partitioning.Partition.t;
   config : Cost_model.config;

@@ -65,17 +65,20 @@ type ctx = {
   cx_spec : Spec.Ast.program;
   cx_graph : Agraph.Access_graph.t;
   cx_digest : string;
+  cx_lines : int;  (** of the printed spec *)
   cx_alloc : Arch.Allocation.t option;
 }
 
-let spec_digest p =
-  Digest.to_hex (Digest.string (Spec.Printer.program_to_string p))
+let digest_of_printed printed = Digest.to_hex (Digest.string printed)
+let spec_digest p = digest_of_printed (Spec.Printer.program_to_string p)
 
 let make_ctx ?alloc spec =
+  let printed = Spec.Printer.program_to_string spec in
   {
     cx_spec = spec;
     cx_graph = Agraph.Access_graph.of_program spec;
-    cx_digest = spec_digest spec;
+    cx_digest = digest_of_printed printed;
+    cx_lines = Spec.Printer.count_lines printed;
     cx_alloc = alloc;
   }
 
@@ -155,8 +158,7 @@ let probe_robustness ?poll (r : Core.Refiner.t) =
    skeletons, and the outer (spec, partition, model) key cannot see that.
    Keyed next to the refinement entries in the same cache, under a
    distinct key domain. *)
-let lint_counts ?cache refined =
-  let printed = Spec.Printer.program_to_string refined in
+let lint_counts ?cache ~printed refined =
   let compute () =
     let lint =
       Lint.Registry.run ~phase:Lint.Registry.Post ~typecheck:false ~flow:true
@@ -177,7 +179,7 @@ let lint_counts ?cache refined =
   | None -> compute ()
   | Some cache ->
     let key =
-      Cache.digest_key [ "lint"; Digest.to_hex (Digest.string printed) ]
+      Cache.digest_key [ "lint"; digest_of_printed printed ]
     in
     fst (Cache.find_or_add ~count_stats:false cache key compute)
 
@@ -201,8 +203,10 @@ let refine_and_measure ?cache ?poll ~checkpoint ctx alloc part
     let refined = r.Core.Refiner.rf_program in
     (* Structural lint of the refined output (the typecheck part is
        already inside Check.run / e_check_ok), memoized by output text. *)
+    let printed = Spec.Printer.program_to_string refined in
+    let lines = Spec.Printer.count_lines printed in
     let lint_errors, lint_warnings, live_dead_stores, live_write_only =
-      lint_counts ?cache refined
+      lint_counts ?cache ~printed refined
     in
     checkpoint ();
     let env = Estimate.Rates.make_env ctx.cx_spec alloc part in
@@ -218,8 +222,8 @@ let refine_and_measure ?cache ?poll ~checkpoint ctx alloc part
         e_max_bus_rate = max_bus_rate env plan;
         e_bus_count = List.length r.Core.Refiner.rf_buses;
         e_memories = List.length r.Core.Refiner.rf_memories;
-        e_lines = Spec.Printer.line_count refined;
-        e_growth = Core.Metrics.growth ~original:ctx.cx_spec ~refined;
+        e_lines = lines;
+        e_growth = Core.Metrics.growth ~original:ctx.cx_lines ~refined:lines;
         e_pins = pins;
         e_gates = gates;
         e_software_bytes = sw;

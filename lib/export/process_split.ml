@@ -33,7 +33,8 @@ let rec check_no_par b =
 
 (** Split a program's behavior tree into its concurrent processes. *)
 let split (p : program) : (proc_inst list, string) result =
-  let is_server name = Program.is_server p name in
+  let ix = Index.of_program p in
+  let is_server name = Index.is_server ix name in
   let rec walk shared inherited_server b =
     let server = inherited_server || is_server b.b_name in
     match b.b_body with

@@ -26,14 +26,38 @@ let codes =
 let run (ctx : Pass.t) =
   let p = ctx.Pass.lc_program in
   let severity = Pass.severity_for_phase ctx.Pass.lc_phase in
-  let masters = Pass.master_procs p in
-  let served = Pass.served_addresses p in
+  let masters = Pass.master_procs ctx in
+  (* The decodes of every address signal: its exact addresses and its
+     ranges. *)
+  let decodes = Hashtbl.create 16 in
+  List.iter
+    (fun (s, sv) ->
+      let singles, ranges =
+        match Hashtbl.find_opt decodes s with
+        | Some d -> d
+        | None ->
+          let d = (Hashtbl.create 16, ref []) in
+          Hashtbl.add decodes s d;
+          d
+      in
+      match sv with
+      | Pass.Single k -> Hashtbl.replace singles k ()
+      | Pass.Range _ -> ranges := sv :: !ranges)
+    (Pass.served_addresses ctx);
+  let decoded addr_sig k =
+    match Hashtbl.find_opt decodes addr_sig with
+    | None -> None
+    | Some (singles, ranges) ->
+      Some (Hashtbl.mem singles k || List.exists (Pass.serves k) !ranges)
+  in
   (* A bus interface (Model4's BIF) decodes no constants: it forwards
      the incoming address wholesale onto another bus.  A bus whose
      address signal feeds the address argument of some master call is
      therefore served for every address. *)
-  let forwarded =
-    List.concat_map
+  let forwarded = Hashtbl.create 16 in
+  List.iter
+    (fun x -> Hashtbl.replace forwarded x ())
+    (List.concat_map
       (fun site ->
         List.concat_map
           (fun (callee, args) ->
@@ -45,8 +69,7 @@ let run (ctx : Pass.t) =
                 (Expr.refs e)
             | _ -> [])
           site.Pass.st_calls)
-      ctx.Pass.lc_sites
-  in
+      ctx.Pass.lc_sites);
   (* PROTO001: constant-address master calls against the decode table. *)
   let addr_checks =
     List.fold_left
@@ -55,15 +78,9 @@ let run (ctx : Pass.t) =
           (fun acc (callee, args) ->
             match (List.assoc_opt callee masters, args) with
             | Some addr_sig, Arg_expr e :: _
-              when not (List.mem addr_sig forwarded) ->
-              let decodes =
-                List.filter_map
-                  (fun (s, sv) ->
-                    if String.equal s addr_sig then Some sv else None)
-                  served
-              in
+              when not (Hashtbl.mem forwarded addr_sig) ->
               begin match Expr.eval_const e with
-              | Some (VInt k) when decodes = [] ->
+              | Some (VInt k) when decoded addr_sig k = None ->
                 Diagnostic.makef ~code:"PROTO001"
                   ~severity:Diagnostic.Error ~pass:"conformance"
                   ~path:site.Pass.st_path ~loc:(Expr.to_string e)
@@ -71,8 +88,7 @@ let run (ctx : Pass.t) =
                    any address on that bus"
                   callee k addr_sig
                 :: acc
-              | Some (VInt k)
-                when not (List.exists (Pass.serves k) decodes) ->
+              | Some (VInt k) when decoded addr_sig k = Some false ->
                 Diagnostic.makef ~code:"PROTO001"
                   ~severity:Diagnostic.Error ~pass:"conformance"
                   ~path:site.Pass.st_path ~loc:(Expr.to_string e)
@@ -96,19 +112,19 @@ let run (ctx : Pass.t) =
       List.iter
         (fun c ->
           List.iter
-            (fun x -> if Pass.is_signal p x then Hashtbl.replace waited x ())
+            (fun x -> if Pass.is_signal ctx x then Hashtbl.replace waited x ())
             (Expr.refs c))
         site.Pass.st_waits)
     ctx.Pass.lc_sites;
   List.iter
     (fun pr ->
-      let written, read = Pass.proc_signal_uses p pr in
+      let written, read = Pass.proc_signal_uses ctx pr in
       List.iter (fun s -> Hashtbl.replace driven s ()) written;
       List.iter (fun s -> Hashtbl.replace observed s ()) read;
       List.iter
         (fun c ->
           List.iter
-            (fun x -> if Pass.is_signal p x then Hashtbl.replace waited x ())
+            (fun x -> if Pass.is_signal ctx x then Hashtbl.replace waited x ())
             (Expr.refs c))
         (Pass.waits_of_stmts [] pr.prc_body))
     p.p_procs;

@@ -32,8 +32,7 @@ type bus = {
 }
 
 let analyze (ctx : Pass.t) =
-  let p = ctx.Pass.lc_program in
-  let masters = Pass.master_procs p in
+  let masters = Pass.master_procs ctx in
   (* Group master procedures into buses by address signal. *)
   let buses =
     List.sort_uniq String.compare (List.map snd masters)
@@ -44,7 +43,7 @@ let analyze (ctx : Pass.t) =
   List.map
     (fun (addr, procs) ->
       let proc_names = List.map fst procs in
-      let bus_sigs = Pass.bus_signal_set p ~addr ~procs in
+      let bus_sigs = Pass.bus_signal_set ctx ~addr ~procs in
       let callers =
         List.filter
           (fun site ->
@@ -67,7 +66,7 @@ let analyze (ctx : Pass.t) =
           List.exists
             (fun c ->
               List.exists
-                (fun x -> Pass.is_signal p x && not (List.mem x bus_sigs))
+                (fun x -> Pass.is_signal ctx x && not (List.mem x bus_sigs))
                 (Expr.refs c))
             site.Pass.st_waits
         in
@@ -85,13 +84,19 @@ let run (ctx : Pass.t) =
   List.concat_map
     (fun b ->
       let addr = b.bus_addr and regions = b.bus_regions in
-      let holds_grant site = not (List.memq site b.bus_offenders) in
-      let callers = b.bus_callers in
+      (* [bus_offenders] is the subsequence of [bus_callers] holding no
+         grant; the grantees are the rest, found in one merge. *)
+      let rec grantees callers offenders =
+        match (callers, offenders) with
+        | c :: cs, o :: os when c == o -> grantees cs os
+        | c :: cs, _ -> c :: grantees cs offenders
+        | [], _ -> []
+      in
       if List.length regions < 2 then begin
         (* One concurrent region (or none): arbitration around the calls
            is pure overhead — the structural side of {!Core.Check}'s
            CONT002, derivable from program text alone. *)
-        match List.filter holds_grant callers with
+        match grantees b.bus_callers b.bus_offenders with
         | [] -> []
         | grantees ->
           [
@@ -110,9 +115,7 @@ let run (ctx : Pass.t) =
           ]
       end
       else
-        let offenders =
-          List.filter (fun s -> not (holds_grant s)) callers
-        in
+        let offenders = b.bus_offenders in
         if offenders = [] then []
         else
           [

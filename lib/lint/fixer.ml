@@ -106,36 +106,34 @@ let width_requirements p =
     | Some b when b >= bits -> ()
     | _ -> Hashtbl.replace reqs key bits
   in
-  (* scope: (name, ty, locus), innermost first *)
-  let tys scope = List.map (fun (n, t, _) -> (n, t)) scope in
-  let resolve scope x =
-    List.find_opt (fun (n, _, _) -> String.equal n x) scope
-  in
+  (* scope: name -> (ty, locus) *)
+  let ty_of scope x = Option.map fst (Scope.find_opt x scope) in
   let check_stmts scope stmts =
+    let resolve x = Scope.find_opt x scope in
     let narrowing dest e =
-      match (dest, Width.width_of (tys scope) e) with
+      match (dest, Width.width_of (ty_of scope) e) with
       | Some dw, Some sw when sw > dw -> Some sw
       | _ -> None
     in
     let rec stmt s =
       match s with
       | Assign (x, e) -> (
-        match resolve scope x with
-        | Some (_, TInt dw, locus) -> (
+        match resolve x with
+        | Some (TInt dw, locus) -> (
           match narrowing (Some dw) e with
           | Some sw -> demand locus x sw
           | None -> ())
         | _ -> ())
       | Assign_idx (x, _, e) -> (
-        match resolve scope x with
-        | Some (_, TArray (dw, _), locus) -> (
+        match resolve x with
+        | Some (TArray (dw, _), locus) -> (
           match narrowing (Some dw) e with
           | Some sw -> demand locus x sw
           | None -> ())
         | _ -> ())
       | Signal_assign (x, e) -> (
-        match resolve scope x with
-        | Some (_, TInt dw, locus) -> (
+        match resolve x with
+        | Some (TInt dw, locus) -> (
           match narrowing (Some dw) e with
           | Some sw -> demand locus x sw
           | None -> ())
@@ -149,15 +147,17 @@ let width_requirements p =
     List.iter stmt stmts
   in
   let base =
-    List.map (fun (v : var_decl) -> (v.v_name, v.v_ty, Lvar)) p.p_vars
-    @ List.map (fun (s : sig_decl) -> (s.s_name, s.s_ty, Lsig)) p.p_signals
+    Index.globals p
+      ~var:(fun v -> (v.v_ty, Lvar))
+      ~signal:(fun s -> (s.s_ty, Lsig))
   in
   let rec walk scope b =
     let scope =
-      List.map
-        (fun (v : var_decl) -> (v.v_name, v.v_ty, Lbvar b.b_name))
-        b.b_vars
-      @ scope
+      Scope.push
+        (List.map
+           (fun (v : var_decl) -> (v.v_name, (v.v_ty, Lbvar b.b_name)))
+           b.b_vars)
+        scope
     in
     match b.b_body with
     | Leaf stmts -> check_stmts scope stmts
@@ -168,13 +168,14 @@ let width_requirements p =
   List.iter
     (fun pr ->
       let scope =
-        List.map
-          (fun (v : var_decl) -> (v.v_name, v.v_ty, Lpvar pr.prc_name))
-          pr.prc_vars
-        @ List.map
-            (fun prm -> (prm.prm_name, prm.prm_ty, Lparam pr.prc_name))
-            pr.prc_params
-        @ base
+        Scope.push
+          (List.map
+             (fun (v : var_decl) -> (v.v_name, (v.v_ty, Lpvar pr.prc_name)))
+             pr.prc_vars
+          @ List.map
+              (fun prm -> (prm.prm_name, (prm.prm_ty, Lparam pr.prc_name)))
+              pr.prc_params)
+          base
       in
       check_stmts scope pr.prc_body)
     p.p_procs;
@@ -384,7 +385,7 @@ let fix_proto ~poll ~original current =
             { fr_code = "PROTO003"; fr_loc = s; fr_reason = reason }
             :: refused )
         in
-        match Program.lookup_signal p s with
+        match Index.signal (Index.of_program p) s with
         | None -> refuse "signal declaration not found"
         | Some sd -> (
           let v =
@@ -487,7 +488,7 @@ let fix_proto2 ~poll ~original current =
             { fr_code = "PROTO002"; fr_loc = s; fr_reason = reason }
             :: refused )
         in
-        match Program.lookup_signal p s with
+        match Index.signal (Index.of_program p) s with
         | None -> refuse "signal declaration not found"
         | Some sd -> (
           match p.p_top.b_body with
@@ -595,7 +596,7 @@ let fix_cont ~poll ~original current =
         let arb_name = fresh used ("ARB_" ^ addr) in
         (* Wrap each offending leaf in acquire/release. *)
         let wrap p (bname, req, gnt) =
-          match Program.lookup_behavior p bname with
+          match Index.behavior (Index.of_program p) bname with
           | Some ({ b_body = Leaf stmts; _ } as b) ->
             let wrapped =
               Signal_assign (req, Expr.tru)

@@ -36,12 +36,11 @@ let rec stmts_emit_wdg stmts =
     stmts
 
 let run (ctx : Pass.t) =
-  let p = ctx.Pass.lc_program in
-  let masters = Pass.master_procs p in
+  let masters = Pass.master_procs ctx in
   let soft =
     List.filter
       (fun (name, _) ->
-        match List.find_opt (fun pr -> String.equal pr.prc_name name) p.p_procs with
+        match Index.proc ctx.Pass.lc_index name with
         | Some pr -> not (stmts_emit_wdg pr.prc_body)
         | None -> false)
       masters

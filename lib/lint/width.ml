@@ -31,37 +31,37 @@ let bits_for n =
   let rec go acc v = if v = 0 then max acc 1 else go (acc + 1) (v lsr 1) in
   go 0 n
 
-(* scope: name -> ty, innermost first *)
-let rec width_of scope e =
+(* [ty_of]: the declared type of a name in scope. *)
+let rec width_of ty_of e =
   match e with
   | Const (VInt n) -> Some (bits_for n)
   | Const (VBool _) -> None
   | Ref x ->
-    (match List.assoc_opt x scope with
+    (match ty_of x with
     | Some (TInt w) -> Some w
     | Some (TBool | TArray _) | None -> None)
   | Index (x, _) ->
-    (match List.assoc_opt x scope with
+    (match ty_of x with
     | Some (TArray (w, _)) -> Some w
     | Some (TBool | TInt _) | None -> None)
-  | Unop (Neg, a) -> width_of scope a
+  | Unop (Neg, a) -> width_of ty_of a
   | Unop (Not, _) -> None
   | Binop (Mod, _, Const (VInt k)) when k > 0 -> Some (bits_for (k - 1))
   | Binop ((Add | Sub | Mul | Div | Mod), a, b) ->
-    (match (width_of scope a, width_of scope b) with
+    (match (width_of ty_of a, width_of ty_of b) with
     | Some wa, Some wb -> Some (max wa wb)
     | Some w, None | None, Some w -> Some w
     | None, None -> None)
   | Binop ((Eq | Neq | Lt | Le | Gt | Ge | And | Or), _, _) -> None
 
-let dest_width scope x =
-  match List.assoc_opt x scope with Some (TInt w) -> Some w | _ -> None
+let dest_width ty_of x =
+  match ty_of x with Some (TInt w) -> Some w | _ -> None
 
-let elem_width scope x =
-  match List.assoc_opt x scope with Some (TArray (w, _)) -> Some w | _ -> None
+let elem_width ty_of x =
+  match ty_of x with Some (TArray (w, _)) -> Some w | _ -> None
 
-let narrowing scope ~dest e =
-  match (dest, width_of scope e) with
+let narrowing ty_of ~dest e =
+  match (dest, width_of ty_of e) with
   | Some dw, Some sw when sw > dw -> Some (sw, dw)
   | _ -> None
 
@@ -88,49 +88,49 @@ let run (ctx : Pass.t) =
       | Some b -> b <= dw
       | None -> false)
   in
-  let check_prim scope ~env path = function
+  let check_prim ty_of ~env path = function
     | Assign (x, e) ->
-      (match narrowing scope ~dest:(dest_width scope x) e with
+      (match narrowing ty_of ~dest:(dest_width ty_of x) e with
       | Some (sw, dw) when not (fits env ~dw e) ->
         report ~code:"WIDTH001" ~path ~loc:x
           "assignment to %s narrows a %d-bit value to %d bits" x sw dw
       | _ -> ())
     | Assign_idx (x, _, e) ->
-      (match narrowing scope ~dest:(elem_width scope x) e with
+      (match narrowing ty_of ~dest:(elem_width ty_of x) e with
       | Some (sw, dw) when not (fits env ~dw e) ->
         report ~code:"WIDTH001" ~path ~loc:x
           "assignment to an element of %s narrows a %d-bit value to %d bits"
           x sw dw
       | _ -> ())
     | Signal_assign (s, e) ->
-      (match narrowing scope ~dest:(dest_width scope s) e with
+      (match narrowing ty_of ~dest:(dest_width ty_of s) e with
       | Some (sw, dw) when not (fits env ~dw e) ->
         report ~code:"WIDTH001" ~path ~loc:s
           "signal assignment to %s narrows a %d-bit value to %d bits" s sw dw
       | _ -> ())
     | Call (name, args) ->
-      (match Program.lookup_proc p name with
+      (match Index.proc ctx.Pass.lc_index name with
       | None -> ()
       | Some pr when List.length pr.prc_params = List.length args ->
         List.iter2
           (fun prm arg ->
             match (prm.prm_mode, arg, prm.prm_ty) with
             | Mode_in, Arg_expr e, TInt dw ->
-              (match narrowing scope ~dest:(Some dw) e with
+              (match narrowing ty_of ~dest:(Some dw) e with
               | Some (sw, _) when not (fits env ~dw e) ->
                 report ~code:"WIDTH002" ~path ~loc:(Expr.to_string e)
                   "argument %s of %s narrows a %d-bit value to %d bits"
                   prm.prm_name name sw dw
               | _ -> ())
             | Mode_in, Arg_var x, TInt dw ->
-              (match dest_width scope x with
+              (match dest_width ty_of x with
               | Some sw when sw > dw && not (fits env ~dw (Ref x)) ->
                 report ~code:"WIDTH002" ~path ~loc:x
                   "argument %s of %s narrows a %d-bit value to %d bits"
                   prm.prm_name name sw dw
               | _ -> ())
             | Mode_out, Arg_var x, TInt sw ->
-              (match dest_width scope x with
+              (match dest_width ty_of x with
               | Some dw when sw > dw ->
                 report ~code:"WIDTH002" ~path ~loc:x
                   "out parameter %s of %s narrows a %d-bit result to %d \
@@ -143,33 +143,34 @@ let run (ctx : Pass.t) =
     | If _ | While _ | For _ | Wait_until _ | Emit _ | Skip -> ()
   in
   let base_scope =
-    List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) p.p_vars
-    @ List.map (fun (s : sig_decl) -> (s.s_name, s.s_ty)) p.p_signals
+    Index.globals p ~var:(fun v -> v.v_ty) ~signal:(fun s -> s.s_ty)
   in
   (match ctx.Pass.lc_flow with
   | None ->
     (* Structural mode: recurse over the statement tree. *)
-    let rec check_stmts scope path stmts =
-      List.iter (check_stmt scope path) stmts
-    and check_stmt scope path s =
-      check_prim scope ~env:None path s;
+    let rec check_stmts ty_of path stmts =
+      List.iter (check_stmt ty_of path) stmts
+    and check_stmt ty_of path s =
+      check_prim ty_of ~env:None path s;
       match s with
       | If (branches, els) ->
-        List.iter (fun (_, body) -> check_stmts scope path body) branches;
-        check_stmts scope path els
-      | While (_, body) -> check_stmts scope path body
-      | For (_, _, _, body) -> check_stmts scope path body
+        List.iter (fun (_, body) -> check_stmts ty_of path body) branches;
+        check_stmts ty_of path els
+      | While (_, body) -> check_stmts ty_of path body
+      | For (_, _, _, body) -> check_stmts ty_of path body
       | Assign _ | Assign_idx _ | Signal_assign _ | Wait_until _ | Call _
       | Emit _ | Skip ->
         ()
     in
     let rec walk scope path b =
       let scope =
-        List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) b.b_vars @ scope
+        Scope.push
+          (List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) b.b_vars)
+          scope
       in
       let path = path @ [ b.b_name ] in
       match b.b_body with
-      | Leaf stmts -> check_stmts scope path stmts
+      | Leaf stmts -> check_stmts (fun x -> Scope.find_opt x scope) path stmts
       | Par children -> List.iter (walk scope path) children
       | Seq arms -> List.iter (fun a -> walk scope path a.a_behavior) arms
     in
@@ -177,29 +178,30 @@ let run (ctx : Pass.t) =
     List.iter
       (fun pr ->
         let scope =
-          List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) pr.prc_vars
-          @ List.map (fun prm -> (prm.prm_name, prm.prm_ty)) pr.prc_params
-          @ base_scope
+          Scope.push
+            (List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) pr.prc_vars
+            @ List.map (fun prm -> (prm.prm_name, prm.prm_ty)) pr.prc_params)
+            base_scope
         in
-        check_stmts scope [ "procedure " ^ pr.prc_name ] pr.prc_body)
+        check_stmts
+          (fun x -> Scope.find_opt x scope)
+          [ "procedure " ^ pr.prc_name ]
+          pr.prc_body)
       p.p_procs
   | Some fl ->
     (* Flow mode: walk the CFGs — only reachable, hand-written nodes,
        each with its interval environment. *)
-    let ty_scope scope =
-      List.map
-        (fun (name, b) ->
-          match b with
-          | Flow.Fvar { ty; _ } -> (name, ty)
-          | Flow.Fsig { ty; _ } -> (name, ty))
-        scope
+    let ty_scope scope x =
+      match List.assoc_opt x scope with
+      | Some (Flow.Fvar { ty; _ } | Flow.Fsig { ty; _ }) -> Some ty
+      | None -> None
     in
-    let check_cfg scope path cfg reach env =
+    let check_cfg ty_of path cfg reach env =
       Array.iteri
         (fun i (node : Cfg.node) ->
           if reach.(i) && not node.Cfg.n_synth then
             match node.Cfg.n_kind with
-            | Cfg.Nstmt s -> check_prim scope ~env:(Some env.(i)) path s
+            | Cfg.Nstmt s -> check_prim ty_of ~env:(Some env.(i)) path s
             | Cfg.Nentry | Cfg.Nexit | Cfg.Nbranch _ -> ())
         cfg.Cfg.c_nodes
     in

@@ -23,14 +23,26 @@ let classify g part v =
   else Global
 
 let report g part =
+  (* The accessing behaviors of every variable, from one pass over the
+     data edges. *)
+  let users = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Agraph.Access_graph.data_edge) ->
+      Hashtbl.add users e.Agraph.Access_graph.de_variable
+        e.Agraph.Access_graph.de_behavior)
+    g.Agraph.Access_graph.g_data;
   let step (locals, globals, unaccessed) v =
-    match Agraph.Access_graph.behaviors_accessing g v with
+    match Hashtbl.find_all users v with
     | [] -> (locals, globals, v :: unaccessed)
-    | _ ->
-      begin match classify g part v with
-      | Local -> (v :: locals, globals, unaccessed)
-      | Global -> (locals, v :: globals, unaccessed)
-      end
+    | bs ->
+      let home = home_of part v in
+      if
+        List.for_all
+          (fun b -> part_of_behavior part b = home)
+          (List.sort_uniq String.compare bs)
+      then
+        (v :: locals, globals, unaccessed)
+      else (locals, v :: globals, unaccessed)
   in
   let locals, globals, unaccessed =
     List.fold_left step ([], [], []) g.Agraph.Access_graph.g_variables

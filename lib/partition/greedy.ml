@@ -36,9 +36,9 @@ let run ?(balance_weight = 0.25) (g : Access_graph.t) ~n_parts =
     @ List.map (fun v -> Partition.Obj_variable v) g.Access_graph.g_variables
   in
   let order =
-    List.stable_sort
-      (fun a b -> compare (connectivity adj b) (connectivity adj a))
-      objs
+    List.map (fun o -> (connectivity adj o, o)) objs
+    |> List.stable_sort (fun (ca, _) (cb, _) -> compare cb ca)
+    |> List.map snd
   in
   let placed = Hashtbl.create 64 in
   let loads = Array.make n_parts 0.0 in

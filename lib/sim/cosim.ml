@@ -61,6 +61,19 @@ type trace_mode =
           with parallel branches, whose cross-branch interleaving is
           scheduling-dependent *)
 
+let trace_mode_of (p : Ast.program) =
+  let has_par =
+    Behavior.fold
+      (fun acc b ->
+        acc
+        ||
+        match b.Ast.b_body with
+        | Ast.Par _ -> true
+        | Ast.Leaf _ | Ast.Seq _ -> false)
+      false p.Ast.p_top
+  in
+  if has_par then Per_tag else Total
+
 let has_prefix prefixes tag =
   List.exists
     (fun p ->

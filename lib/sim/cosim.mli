@@ -16,6 +16,10 @@ type trace_mode =
           with parallel branches, whose cross-branch interleaving is
           scheduling-dependent and not preserved by refinement *)
 
+val trace_mode_of : Spec.Ast.program -> trace_mode
+(** The comparison an original specification calls for: [Per_tag] when
+    it contains a parallel composition, [Total] otherwise. *)
+
 val check :
   ?config:Engine.config ->
   ?backend:Runtime.backend ->

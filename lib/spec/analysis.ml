@@ -40,11 +40,10 @@ let rec raw_stmt_accesses ~while_iterations ~visible mult stmts =
 
 and expr_reads ~visible mult e =
   List.filter_map
-    (fun x -> if List.mem x visible then Some (x, Read, mult) else None)
+    (fun x -> if visible x then Some (x, Read, mult) else None)
     (Expr.refs e)
 
-and write_of ~visible mult x =
-  if List.mem x visible then [ (x, Write, mult) ] else []
+and write_of ~visible mult x = if visible x then [ (x, Write, mult) ] else []
 
 and raw_stmt ~while_iterations ~visible mult = function
   | Assign (x, e) -> write_of ~visible mult x @ expr_reads ~visible mult e
@@ -85,58 +84,52 @@ and raw_stmt ~while_iterations ~visible mult = function
   | Skip -> []
 
 (* Walk the behavior tree collecting, for every behavior name, its accesses
-   to the program-level variables in [visible].  Local declarations shadow
-   program variables for the whole subtree.  TOC-condition reads are
-   attributed to the arm's child behavior, because the refined protocol
-   call is inserted at the end of that child (paper, Figure 6). *)
+   to the program-level variables.  Local declarations shadow program
+   variables for the whole subtree.  TOC-condition reads are attributed to
+   the arm's child behavior, because the refined protocol call is inserted
+   at the end of that child (paper, Figure 6). *)
 let behavior_accesses ?(while_iterations = 8) (p : program) :
     (string * access list) list =
-  let result = ref [] in
-  let rec walk visible b =
-    let visible =
-      List.filter
-        (fun x -> not (List.exists (fun v -> String.equal v.v_name x) b.b_vars))
-        visible
+  let ix = Index.of_program p in
+  (* Every behavior's raw accesses, in reverse preorder; [cells] finds
+     the entries of one name, which take its TOC reads. *)
+  let result = ref [] and cells = Hashtbl.create 64 in
+  let rec walk shadowed b =
+    let shadowed =
+      Scope.push_names (List.map (fun v -> v.v_name) b.b_vars) shadowed
     in
+    let visible x = Index.is_var ix x && not (Scope.mem x shadowed) in
     let own =
       match b.b_body with
       | Leaf stmts -> raw_stmt_accesses ~while_iterations ~visible 1 stmts
       | Seq _ | Par _ -> []
     in
-    let toc_extra =
-      match b.b_body with
-      | Seq arms ->
-        List.map
-          (fun a ->
-            let reads =
-              List.concat_map
-                (fun t ->
-                  match t.t_cond with
-                  | Some c -> expr_reads ~visible 1 c
-                  | None -> [])
-                a.a_transitions
-            in
-            (a.a_behavior.b_name, reads))
-          arms
-      | Leaf _ | Par _ -> []
-    in
-    result := (b.b_name, own) :: !result;
-    List.iter
-      (fun child ->
-        walk visible child;
-        match List.assoc_opt child.b_name toc_extra with
-        | Some extra when extra <> [] ->
-          result :=
-            List.map
-              (fun (n, acc) ->
-                if String.equal n child.b_name then (n, acc @ extra)
-                else (n, acc))
-              !result
-        | _ -> ())
-      (Behavior.children b)
+    let cell = ref own in
+    result := (b.b_name, cell) :: !result;
+    Hashtbl.add cells b.b_name cell;
+    match b.b_body with
+    | Leaf _ -> ()
+    | Par children -> List.iter (walk shadowed) children
+    | Seq arms ->
+      List.iter
+        (fun a ->
+          let extra =
+            List.concat_map
+              (fun t ->
+                match t.t_cond with
+                | Some c -> expr_reads ~visible 1 c
+                | None -> [])
+              a.a_transitions
+          in
+          walk shadowed a.a_behavior;
+          if extra <> [] then
+            List.iter
+              (fun c -> c := !c @ extra)
+              (Hashtbl.find_all cells a.a_behavior.b_name))
+        arms
   in
-  walk (List.map (fun v -> v.v_name) p.p_vars) p.p_top;
-  List.rev_map (fun (n, raw) -> (n, aggregate raw)) !result
+  walk Scope.empty p.p_top;
+  List.rev_map (fun (n, cell) -> (n, aggregate !cell)) !result
 
 (** Accesses of one named behavior (leaf statement accesses plus the TOC
     reads attributed to it). *)
@@ -165,9 +158,9 @@ let var_users ?while_iterations p =
 (** Names of all signals read or written anywhere in the program
     (behaviors and procedures), used by refinement checks. *)
 let used_signal_names p =
-  let signal_names = List.map (fun s -> s.s_name) p.p_signals in
+  let ix = Index.of_program p in
   let from_stmts stmts =
-    List.filter (fun s -> List.mem s signal_names) (Stmt.reads stmts)
+    List.filter (Index.is_signal ix) (Stmt.reads stmts)
     @ Stmt.signal_writes stmts
   in
   let acc =

@@ -87,9 +87,7 @@ val as_int : value -> int
 
 val refs : expr -> string list
 (** All referenced names (including indexed array bases), in order of
-    first occurrence, without duplicates.  Memoized per physical
-    expression node: the simulator's sensitivity sets and the lint passes
-    ask for the same node's references over and over. *)
+    first occurrence, without duplicates. *)
 
 val rename : (string -> string) -> expr -> expr
 (** [rename f e] replaces every [Ref x] with [Ref (f x)]. *)

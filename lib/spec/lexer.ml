@@ -27,6 +27,11 @@ let keywords =
     "bool"; "int";
   ]
 
+let keyword_table =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace tbl k ()) keywords;
+  tbl
+
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
@@ -53,7 +58,8 @@ let tokenize src =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let word = String.sub src start (!i - start) in
-      if List.mem word keywords then emit (KW word) else emit (IDENT word)
+      if Hashtbl.mem keyword_table word then emit (KW word)
+      else emit (IDENT word)
     end
     else if is_digit c then begin
       let start = !i in

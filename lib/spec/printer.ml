@@ -148,10 +148,19 @@ let program_to_string p = run (fun ctx -> emit_program ctx p)
 let behavior_to_string ?indent b = run ?indent (fun ctx -> emit_behavior ctx b)
 let stmts_to_string ?indent stmts = run ?indent (fun ctx -> emit_stmts ctx stmts)
 
-let line_count p =
-  String.split_on_char '\n' (program_to_string p)
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.length
+let count_lines text =
+  let n = ref 0 and blank = ref true in
+  String.iter
+    (function
+      | '\n' ->
+        if not !blank then incr n;
+        blank := true
+      | ' ' | '\012' | '\r' | '\t' -> ()
+      | _ -> blank := false)
+    text;
+  if !blank then !n else !n + 1
+
+let line_count p = count_lines (program_to_string p)
 
 let pp_program ppf p = Format.pp_print_string ppf (program_to_string p)
 let pp_behavior ppf b = Format.pp_print_string ppf (behavior_to_string b)

@@ -16,8 +16,12 @@ val behavior_to_string : ?indent:int -> behavior -> string
 
 val stmts_to_string : ?indent:int -> stmt list -> string
 
+val count_lines : string -> int
+(** Number of lines of a printed text that are not blank — the size
+    metric, for a program already printed. *)
+
 val line_count : program -> int
-(** Number of non-empty lines in [program_to_string]. *)
+(** [count_lines (program_to_string p)]. *)
 
 val pp_program : Format.formatter -> program -> unit
 

@@ -10,46 +10,38 @@ let make ?(vars = []) ?(signals = []) ?(procs = []) ?(servers = []) name top =
     p_servers = servers;
   }
 
-let lookup_var p x = List.find_opt (fun v -> String.equal v.v_name x) p.p_vars
-
-let lookup_signal p x =
-  List.find_opt (fun s -> String.equal s.s_name x) p.p_signals
-
-let lookup_proc p x =
-  List.find_opt (fun pr -> String.equal pr.prc_name x) p.p_procs
-
-let lookup_behavior p x = Behavior.find x p.p_top
 let behavior_names p = Behavior.names p.p_top
 let var_names p = List.map (fun v -> v.v_name) p.p_vars
-let is_server p x = List.mem x p.p_servers
 
 (* --- validation ------------------------------------------------------- *)
 
+(* Each name declared more than once, in the order its second declaration
+   appears. *)
 let duplicates names =
-  let rec go seen dups = function
-    | [] -> List.rev dups
-    | x :: rest ->
-      if List.mem x seen then
-        if List.mem x dups then go seen dups rest else go seen (x :: dups) rest
-      else go (x :: seen) dups rest
-  in
-  go [] [] names
+  let seen = Hashtbl.create 64 and dups = Hashtbl.create 8 in
+  List.filter
+    (fun x ->
+      if not (Hashtbl.mem seen x) then begin
+        Hashtbl.add seen x ();
+        false
+      end
+      else if Hashtbl.mem dups x then false
+      else begin
+        Hashtbl.add dups x ();
+        true
+      end)
+    names
 
 let check_unique what names errs =
   List.fold_left
     (fun errs d -> Printf.sprintf "duplicate %s name: %s" what d :: errs)
     errs (duplicates names)
 
-(* Scope = set of names visible as readable/writable data (variables,
+(* Scope = the names visible as readable/writable data (variables,
    signals, parameters).  Scoping is by name; shadowing is allowed. *)
-module Scope = Set.Make (String)
 
-let scope_of_decls vars signals =
-  let s = List.fold_left (fun s v -> Scope.add v.v_name s) Scope.empty vars in
-  List.fold_left (fun s sd -> Scope.add sd.s_name s) s signals
-
-let rec check_stmts p ~where scope errs stmts =
-  List.fold_left (check_stmt p ~where scope) errs stmts
+let rec check_stmts ix ~where scope errs stmts =
+  List.fold_left (check_stmt ix ~where scope) errs stmts
 
 and check_expr ~where scope errs e =
   List.fold_left
@@ -62,7 +54,7 @@ and check_target ~where scope errs x =
   if Scope.mem x scope then errs
   else Printf.sprintf "%s: assignment to undeclared name %s" where x :: errs
 
-and check_stmt p ~where scope errs = function
+and check_stmt ix ~where scope errs = function
   | Assign (x, e) ->
     check_expr ~where scope (check_target ~where scope errs x) e
   | Assign_idx (x, i, e) ->
@@ -79,20 +71,20 @@ and check_stmt p ~where scope errs = function
     let errs =
       List.fold_left
         (fun errs (c, body) ->
-          check_stmts p ~where scope (check_expr ~where scope errs c) body)
+          check_stmts ix ~where scope (check_expr ~where scope errs c) body)
         errs branches
     in
-    check_stmts p ~where scope errs els
+    check_stmts ix ~where scope errs els
   | While (c, body) ->
-    check_stmts p ~where scope (check_expr ~where scope errs c) body
+    check_stmts ix ~where scope (check_expr ~where scope errs c) body
   | For (i, lo, hi, body) ->
     let errs = check_target ~where scope errs i in
     let errs = check_expr ~where scope errs lo in
     let errs = check_expr ~where scope errs hi in
-    check_stmts p ~where scope errs body
+    check_stmts ix ~where scope errs body
   | Wait_until c -> check_expr ~where scope errs c
   | Call (name, args) ->
-    begin match lookup_proc p name with
+    begin match Index.proc ix name with
     | None -> Printf.sprintf "%s: call to unknown procedure %s" where name :: errs
     | Some pr ->
       let np = List.length pr.prc_params and na = List.length args in
@@ -120,16 +112,15 @@ and check_stmt p ~where scope errs = function
   | Emit (_, e) -> check_expr ~where scope errs e
   | Skip -> errs
 
-let rec check_behavior p scope errs b =
-  let scope =
-    List.fold_left (fun s v -> Scope.add v.v_name s) scope b.b_vars
-  in
+let rec check_behavior ix scope errs b =
+  let scope = Scope.push_names (List.map (fun v -> v.v_name) b.b_vars) scope in
   let where = Printf.sprintf "behavior %s" b.b_name in
   match b.b_body with
-  | Leaf stmts -> check_stmts p ~where scope errs stmts
-  | Par bs -> List.fold_left (check_behavior p scope) errs bs
+  | Leaf stmts -> check_stmts ix ~where scope errs stmts
+  | Par bs -> List.fold_left (check_behavior ix scope) errs bs
   | Seq arms ->
-    let sibling_names = List.map (fun a -> a.a_behavior.b_name) arms in
+    let siblings = Hashtbl.create (List.length arms) in
+    List.iter (fun a -> Hashtbl.replace siblings a.a_behavior.b_name ()) arms;
     let errs =
       List.fold_left
         (fun errs a ->
@@ -143,7 +134,7 @@ let rec check_behavior p scope errs b =
               match t.t_target with
               | Complete -> errs
               | Goto target ->
-                if List.mem target sibling_names then errs
+                if Hashtbl.mem siblings target then errs
                 else
                   Printf.sprintf "%s: transition to non-sibling %s" where
                     target
@@ -152,23 +143,21 @@ let rec check_behavior p scope errs b =
         errs arms
     in
     List.fold_left
-      (fun errs a -> check_behavior p scope errs a.a_behavior)
+      (fun errs a -> check_behavior ix scope errs a.a_behavior)
       errs arms
 
-let check_proc p errs pr =
+let check_proc ix globals errs pr =
   let scope =
-    List.fold_left
-      (fun s prm -> Scope.add prm.prm_name s)
-      (scope_of_decls p.p_vars p.p_signals)
-      pr.prc_params
-  in
-  let scope =
-    List.fold_left (fun s v -> Scope.add v.v_name s) scope pr.prc_vars
+    Scope.push_names
+      (List.map (fun prm -> prm.prm_name) pr.prc_params
+      @ List.map (fun v -> v.v_name) pr.prc_vars)
+      globals
   in
   let where = Printf.sprintf "procedure %s" pr.prc_name in
-  check_stmts p ~where scope errs pr.prc_body
+  check_stmts ix ~where scope errs pr.prc_body
 
 let validate p =
+  let ix = Index.of_program p in
   let errs = [] in
   let errs = check_unique "behavior" (behavior_names p) errs in
   let errs = check_unique "variable" (var_names p) errs in
@@ -181,15 +170,14 @@ let validate p =
   let errs =
     List.fold_left
       (fun errs srv ->
-        match lookup_behavior p srv with
+        match Index.behavior ix srv with
         | Some _ -> errs
         | None -> Printf.sprintf "server %s is not a behavior" srv :: errs)
       errs p.p_servers
   in
-  let errs = List.fold_left (check_proc p) errs p.p_procs in
-  let errs =
-    check_behavior p (scope_of_decls p.p_vars p.p_signals) errs p.p_top
-  in
+  let globals = Index.globals p ~var:ignore ~signal:ignore in
+  let errs = List.fold_left (check_proc ix globals) errs p.p_procs in
+  let errs = check_behavior ix globals errs p.p_top in
   match errs with [] -> Ok () | _ -> Error (List.rev errs)
 
 let validate_exn p =

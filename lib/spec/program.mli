@@ -1,5 +1,5 @@
-(** Whole-program operations: construction, lookups and static
-    validation. *)
+(** Whole-program operations: construction and static validation.
+    Lookups by name go through the program's {!Index}. *)
 
 open Ast
 
@@ -14,21 +14,10 @@ val make :
 (** [make name top] builds a program named [name] with top behavior
     [top]. *)
 
-val lookup_var : program -> string -> var_decl option
-(** Program-level (partitionable) variable. *)
-
-val lookup_signal : program -> string -> sig_decl option
-
-val lookup_proc : program -> string -> proc_decl option
-
-val lookup_behavior : program -> string -> behavior option
-
 val behavior_names : program -> string list
 
 val var_names : program -> string list
 (** Names of program-level variables, in declaration order. *)
-
-val is_server : program -> string -> bool
 
 val validate : program -> (unit, string list) result
 (** Static sanity checks: unique behavior / variable / signal / procedure

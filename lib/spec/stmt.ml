@@ -60,12 +60,15 @@ and map_stmt f s =
   f s
 
 let dedup names =
-  let rec go seen = function
-    | [] -> []
-    | x :: rest ->
-      if List.mem x seen then go seen rest else x :: go (x :: seen) rest
-  in
-  go [] names
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      if Hashtbl.mem seen x then false
+      else begin
+        Hashtbl.add seen x ();
+        true
+      end)
+    names
 
 let reads stmts =
   dedup (List.rev (fold_exprs (fun acc e -> List.rev_append (Expr.refs e) acc) [] stmts))

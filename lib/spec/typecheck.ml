@@ -23,26 +23,27 @@ let class_name = function Cbool -> "bool" | Cint -> "int" | Carray -> "array"
 let class_of_value = function VBool _ -> Cbool | VInt _ -> Cint
 
 (* Scoped environment: name -> (type class, kind).  Shadowing = closest
-   binding wins.  Signals and variables live in one namespace for
-   reading; assignment statements check the kind of the innermost
-   binding. *)
+   binding wins; a program variable wins over a signal of the same name.
+   Signals and variables live in one namespace for reading; assignment
+   statements check the kind of the innermost binding. *)
 type kind = Kvar | Ksignal
 
 type env = {
-  bindings : (string * (ty_class * kind)) list;  (** innermost first *)
-  procs : proc_decl list;
+  scope : (ty_class * kind) Scope.t;
+  index : Index.t;  (** procedures *)
   path : string list;  (** behavior path, for diagnostic locations *)
 }
 
-let lookup env x = Option.map fst (List.assoc_opt x env.bindings)
-let lookup_kind env x = Option.map snd (List.assoc_opt x env.bindings)
+let lookup env x = Option.map fst (Scope.find_opt x env.scope)
+let lookup_kind env x = Option.map snd (Scope.find_opt x env.scope)
 
 let bind_vars env vars =
   {
     env with
-    bindings =
-      List.map (fun v -> (v.v_name, (class_of_ty v.v_ty, Kvar))) vars
-      @ env.bindings;
+    scope =
+      Scope.push
+        (List.map (fun v -> (v.v_name, (class_of_ty v.v_ty, Kvar))) vars)
+        env.scope;
   }
 
 type error = string
@@ -207,9 +208,7 @@ and check_stmt env errs = function
     check_stmts env errs body
   | Wait_until c -> expect env errs Cbool c "wait condition"
   | Call (name, args) ->
-    begin match
-      List.find_opt (fun pr -> String.equal pr.prc_name name) env.procs
-    with
+    begin match Index.proc env.index name with
     | None ->
       errf env ~code:"TYPE005" ~loc:name "call to unknown procedure %s" name
       :: errs
@@ -274,11 +273,12 @@ let check_proc env errs pr =
   let env =
     {
       env with
-      bindings =
-        List.map
-          (fun prm -> (prm.prm_name, (class_of_ty prm.prm_ty, Kvar)))
-          pr.prc_params
-        @ env.bindings;
+      scope =
+        Scope.push
+          (List.map
+             (fun prm -> (prm.prm_name, (class_of_ty prm.prm_ty, Kvar)))
+             pr.prc_params)
+          env.scope;
     }
   in
   let env = bind_vars env pr.prc_vars in
@@ -324,12 +324,11 @@ let check_decl_sites env (p : program) errs =
 let diagnostics (p : program) : Diagnostic.t list =
   let base =
     {
-      bindings =
-        List.map (fun v -> (v.v_name, (class_of_ty v.v_ty, Kvar))) p.p_vars
-        @ List.map
-            (fun s -> (s.s_name, (class_of_ty s.s_ty, Ksignal)))
-            p.p_signals;
-      procs = p.p_procs;
+      scope =
+        Index.globals p
+          ~var:(fun v -> (class_of_ty v.v_ty, Kvar))
+          ~signal:(fun s -> (class_of_ty s.s_ty, Ksignal));
+      index = Index.of_program p;
       path = [];
     }
   in

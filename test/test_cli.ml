@@ -117,6 +117,28 @@ let test_cosim_all_models () =
         [ "equivalent" ])
     [ "1"; "2"; "3"; "4" ]
 
+(* A parallel spec's cross-branch interleaving is not preserved by
+   refinement, so cosim compares it tag by tag: a generated spec with two
+   parallel branches is equivalent under every model. *)
+let test_cosim_parallel () =
+  let tmp = Filename.temp_file "par" ".sc" in
+  let cfg =
+    { Workloads.Generator.gen_seed = 111; gen_vars = 14; gen_leaves = 16;
+      gen_stmts = 6; gen_par_branches = 2 }
+  in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc
+        (Spec.Printer.program_to_string (Workloads.Generator.program cfg)));
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      List.iter
+        (fun model ->
+          expect_ok
+            [ "cosim"; tmp; "--model"; model ]
+            [ "equivalent: refined" ])
+        [ "1"; "2"; "3"; "4" ])
+
 let test_typecheck () =
   expect_ok [ "typecheck"; spec "medical.sc" ] [ "well typed" ]
 
@@ -356,6 +378,7 @@ let () =
           tc "refined output round-trips" test_refine_roundtrips_through_cli;
           tc "simulate" test_simulate;
           tc "cosim all models" test_cosim_all_models;
+          tc "cosim parallel spec" test_cosim_parallel;
           tc "typecheck" test_typecheck;
           tc "export c" test_export_c;
           tc "export vhdl" test_export_vhdl;

@@ -522,7 +522,7 @@ let test_refiner_model3_gmem_ports () =
   let prog = r.Core.Refiner.rf_program in
   (* Gmem1 (v5, v7) is accessed by both partitions: two ports = a par of
      two serving leaves. *)
-  match Program.lookup_behavior prog "GMEM_1" with
+  match Index.behavior (Index.of_program prog) "GMEM_1" with
   | Some b ->
     begin match b.b_body with
     | Par ports -> Alcotest.(check int) "two ports" 2 (List.length ports)
@@ -535,10 +535,9 @@ let test_refiner_servers_registered () =
   List.iter
     (fun model ->
       let r = refine fig2 part2 model in
-      let prog = r.Core.Refiner.rf_program in
+      let ix = Index.of_program r.Core.Refiner.rf_program in
       List.iter
-        (fun name ->
-          Alcotest.(check bool) name true (Program.is_server prog name))
+        (fun name -> Alcotest.(check bool) name true (Index.is_server ix name))
         (r.Core.Refiner.rf_memories @ r.Core.Refiner.rf_arbiters
         @ r.Core.Refiner.rf_moved))
     Core.Model.all
@@ -565,7 +564,7 @@ let test_refiner_initial_values_preserved () =
      the memory behaviors. *)
   let r = refine fig2 part2 Core.Model.Model1 in
   let prog = r.Core.Refiner.rf_program in
-  let gmem = Option.get (Program.lookup_behavior prog "GMEM") in
+  let gmem = Option.get (Index.behavior (Index.of_program prog) "GMEM") in
   let init name =
     let d = List.find (fun v -> v.v_name = name) gmem.b_vars in
     d.v_init
@@ -723,7 +722,8 @@ let test_metrics_of_program () =
 let test_metrics_growth () =
   let r = refine fig2 part2 Core.Model.Model4 in
   let growth =
-    Core.Metrics.growth ~original:fig2 ~refined:r.Core.Refiner.rf_program
+    Core.Metrics.growth ~original:(Printer.line_count fig2)
+      ~refined:(Printer.line_count r.Core.Refiner.rf_program)
   in
   Alcotest.(check bool) "substantial growth" true (growth > 3.0)
 

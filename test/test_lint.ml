@@ -267,6 +267,105 @@ let test_width_codes () =
   Alcotest.(check bool) "width findings are warnings in any phase" false
     (Diagnostic.has_errors (Lint.Registry.run ~phase:Lint.Registry.Post (parse width_src)))
 
+(* --- shadowing precedence ------------------------------------------------ *)
+
+(* A program variable [x] and a signal [x]; a signal [s] shadowed by a
+   local [s] in both parallel branches. *)
+let shadow_src =
+  "program shadows is\n\
+  \  var x : int<4> := 0;\n\
+  \  signal x : int<16> := 0;\n\
+  \  signal s : bool := false;\n\
+  \  behavior TOP : par is\n\
+  \  begin\n\
+  \    behavior A : leaf is\n\
+  \      var s : int<8> := 0;\n\
+  \    begin\n\
+  \      x := 200;\n\
+  \      s := 1;\n\
+  \    end behavior;\n\
+  \    behavior B : leaf is\n\
+  \      var s : int<8> := 0;\n\
+  \    begin\n\
+  \      x := 1;\n\
+  \      s := 2;\n\
+  \    end behavior;\n\
+  \  end behavior\n\
+   end program"
+
+(* A master procedure whose parameter [s] shadows the signal [s]. *)
+let param_shadow_src =
+  "program params is\n\
+  \  signal addr : int<8> := 0;\n\
+  \  signal req : bool := false;\n\
+  \  signal ack : bool := false;\n\
+  \  signal s : bool := false;\n\
+  \  procedure MST (a : in int<8>; s : in bool) is\n\
+  \  begin\n\
+  \    addr <= a;\n\
+  \    req <= true;\n\
+  \    wait until ack or s;\n\
+  \    req <= false;\n\
+  \  end procedure;\n\
+  \  behavior MAIN : leaf is\n\
+  \  begin\n\
+  \    call MST(1, true);\n\
+  \  end behavior\n\
+   end program"
+
+(* Which declaration each pass resolves a name to, one row per rule. *)
+let test_shadowing_precedence () =
+  let p = parse shadow_src in
+  let ds = Lint.Registry.run ~phase:Lint.Registry.Pre p in
+  let ctx = Lint.Pass.make_ctx ~phase:Lint.Registry.Pre p in
+  let site name =
+    List.find (fun s -> s.Lint.Pass.st_behavior = name) ctx.Lint.Pass.lc_sites
+  in
+  let q = parse param_shadow_src in
+  let qctx = Lint.Pass.make_ctx ~phase:Lint.Registry.Pre q in
+  let mst = List.hd q.p_procs in
+  let rows =
+    [
+      ( "variable wins over signal: Pass keys it as the variable",
+        fun () ->
+          (site "A").Lint.Pass.st_var_writes = [ ("x", "x"); ("A.s", "s") ]
+          && (site "A").Lint.Pass.st_sig_writes = [] );
+      ( "variable wins over signal: Width uses the variable's 4 bits",
+        fun () ->
+          List.exists
+            (fun d -> d.Diagnostic.d_loc = "x"
+                      && contains d.Diagnostic.d_message "to 4 bits")
+            (with_code "WIDTH001" ds) );
+      ( "variable wins over signal: a variable race, not a signal race",
+        fun () ->
+          List.map (fun d -> d.Diagnostic.d_loc) (with_code "RACE001" ds)
+          = [ "x" ]
+          && with_code "RACE002" ds = [] );
+      ( "local shadows signal: race keys are owner.name",
+        fun () ->
+          List.mem ("B.s", "s") (site "B").Lint.Pass.st_var_writes
+          && not
+               (List.exists
+                  (fun d -> d.Diagnostic.d_loc = "s")
+                  (with_code "RACE001" ds)) );
+      ( "local shadows signal: no TYPE004 for :=",
+        fun () -> with_code "TYPE004" ds = [] );
+      ( "parameter shadows signal: bus_signal_set",
+        fun () ->
+          Lint.Pass.master_procs qctx = [ ("MST", "addr") ]
+          && Lint.Pass.bus_signal_set qctx ~addr:"addr"
+               ~procs:[ ("MST", "addr") ]
+             = [ "addr"; "req"; "ack" ] );
+      ( "parameter shadows signal: proc_signal_uses",
+        fun () ->
+          Lint.Pass.proc_signal_uses qctx mst
+          = ([ "addr"; "req" ], [ "ack" ]) );
+    ]
+  in
+  List.iter
+    (fun (name, holds) -> Alcotest.(check bool) name true (holds ()))
+    rows
+
 (* --- flow-sensitive mode ------------------------------------------------ *)
 
 let pairs ds = List.map (fun d -> (d.Diagnostic.d_code, d.Diagnostic.d_loc)) ds
@@ -652,6 +751,7 @@ let () =
         [
           tc "liveness codes" test_liveness_codes;
           tc "width codes" test_width_codes;
+          tc "shadowing precedence" test_shadowing_precedence;
         ] );
       ( "flow",
         [

@@ -315,10 +315,31 @@ let test_validate_server_exists () =
     (Program.make ~servers:[ "ghost" ] "p" (Behavior.leaf "l" []))
 
 let test_lookup () =
-  let p = Workloads.Smallspecs.fig1 in
-  Alcotest.(check bool) "var x" true (Program.lookup_var p "x" <> None);
-  Alcotest.(check bool) "no var y" true (Program.lookup_var p "y" = None);
-  Alcotest.(check bool) "behavior B" true (Program.lookup_behavior p "B" <> None)
+  let ix = Index.of_program Workloads.Smallspecs.fig1 in
+  Alcotest.(check bool) "var x" true (Index.var ix "x" <> None);
+  Alcotest.(check bool) "no var y" true (Index.var ix "y" = None);
+  Alcotest.(check bool) "behavior B" true (Index.behavior ix "B" <> None);
+  (* The first declaration of a name wins, as a scan of the list finds
+     it; behaviors in tree preorder. *)
+  let p =
+    Program.make
+      ~vars:[ Builder.int_var ~width:8 "v"; Builder.bool_var "v" ]
+      ~signals:[ Builder.bool_signal "s" ] ~servers:[ "srv" ]
+      "p"
+      (Behavior.seq "top"
+         [ Behavior.arm (Behavior.leaf ~vars:[ Builder.bool_var "a" ] "l" []);
+           Behavior.arm (Behavior.leaf "l" []) ])
+  in
+  let ix = Index.of_program p in
+  Alcotest.(check bool) "first var wins" true
+    (Option.map (fun v -> v.Ast.v_ty) (Index.var ix "v") = Some (Ast.TInt 8));
+  Alcotest.(check bool) "first behavior wins" true
+    (Option.map (fun b -> b.Ast.b_vars <> []) (Index.behavior ix "l")
+    = Some true);
+  Alcotest.(check bool) "signal" true (Index.is_signal ix "s");
+  Alcotest.(check bool) "var is no signal" false (Index.is_signal ix "v");
+  Alcotest.(check bool) "server" true (Index.is_server ix "srv");
+  Alcotest.(check bool) "behavior is no server" false (Index.is_server ix "l")
 
 (* --- lexer -------------------------------------------------------------- *)
 

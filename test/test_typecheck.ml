@@ -117,6 +117,64 @@ let test_shadowing_changes_class () =
   in
   ok prog
 
+(* Which declaration a name resolves to when several are in scope: a
+   program variable wins over a signal of the same name, a behavior
+   local or a procedure parameter shadows a signal.  Each row is a
+   program and the expected verdict (a fragment of the error, or well
+   typed). *)
+let shadowing_rows =
+  let sig_b = Builder.bool_signal "x" in
+  [
+    ( "variable wins over signal: := is a variable assignment",
+      leaf_prog ~vars:[ iv "x" ] ~signals:[ sig_b ] "x := 1;",
+      None );
+    ( "variable wins over signal: <= is reported",
+      leaf_prog ~vars:[ iv "x" ] ~signals:[ sig_b ] "x <= 1;",
+      Some "signal assignment to variable x" );
+    ( "variable wins over signal: its class is int",
+      leaf_prog ~vars:[ iv "x" ] ~signals:[ sig_b ] "x := x + 1;",
+      None );
+    ( "local shadows signal: no TYPE004 for :=",
+      Program.make ~signals:[ sig_b ] "t"
+        (Behavior.leaf ~vars:[ iv "x" ] "L"
+           (Parser.stmts_of_string_exn "x := x + 1;")),
+      None );
+    ( "parameter shadows signal",
+      Program.make ~signals:[ sig_b ]
+        ~procs:
+          [ Builder.proc "f"
+              ~params:[ Builder.param_in "x" (TInt 8) ]
+              ~vars:[ iv "y" ]
+              (Parser.stmts_of_string_exn "y := x + 1;") ]
+        "t" (Behavior.leaf "L" []),
+      None );
+  ]
+
+let test_shadowing_precedence () =
+  List.iter
+    (fun (name, p, expect) ->
+      let got = Typecheck.check p in
+      match (expect, got) with
+      | None, Ok () -> ()
+      | None, Error errs ->
+        Alcotest.failf "%s: expected well typed, got %s" name
+          (String.concat "; " errs)
+      | Some _, Ok () -> Alcotest.failf "%s: expected a type error" name
+      | Some frag, Error errs ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: mentions %S" name frag)
+          true
+          (List.exists
+             (fun e ->
+               let n = String.length frag in
+               let rec go i =
+                 i + n <= String.length e
+                 && (String.sub e i n = frag || go (i + 1))
+               in
+               go 0)
+             errs))
+    shadowing_rows
+
 let test_transition_condition_class () =
   let prog =
     Program.make ~vars:[ iv "x" ] "t"
@@ -200,6 +258,7 @@ let () =
           tc "workloads" test_workloads_well_typed;
           tc "refined medical (all models)" test_refined_well_typed;
           tc "shadowing" test_shadowing_changes_class;
+          tc "shadowing precedence" test_shadowing_precedence;
         ] );
       ( "violations",
         [
